@@ -7,10 +7,10 @@
 
 use crate::analyze::{AnalysisConfig, AnalysisReport, Analyzer};
 use crate::error::{LogNicResult, Result};
-use crate::extensions::delivered_throughput;
+use crate::extensions::delivered_with;
 use crate::fault::FaultPlan;
 use crate::graph::ExecutionGraph;
-use crate::latency::{estimate_latency, LatencyEstimate};
+use crate::latency::{estimate_latency, latency_with, LatencyEstimate, QueueTable};
 use crate::params::{HardwareModel, IpParams, TrafficProfile};
 use crate::throughput::{estimate_throughput, ThroughputEstimate};
 use crate::units::{Bandwidth, Seconds};
@@ -137,10 +137,18 @@ impl<'a> Estimator<'a> {
     ///
     /// Propagates model-evaluation errors.
     pub fn estimate(&self) -> Result<Estimate> {
+        // One evaluation builds the throughput bounds, the path list and
+        // every node's queue once; latency and the delivered rate share
+        // them.
+        let throughput = self.throughput()?;
+        let paths = self.graph.paths()?;
+        let queues = QueueTable::new(self.graph, self.traffic);
+        let delivered = delivered_with(self.traffic, throughput.attainable(), &paths, &queues);
+        let latency = latency_with(self.graph, self.hw, self.traffic, &queues, paths);
         Ok(Estimate {
-            throughput: self.throughput()?,
-            latency: self.latency()?,
-            delivered: delivered_throughput(self.graph, self.hw, self.traffic)?,
+            throughput,
+            latency,
+            delivered,
             degraded: None,
         })
     }

@@ -2,9 +2,10 @@
 //! interleaved traffic profiles, and drop-aware delivered throughput.
 
 use crate::error::{ModelError, Result};
-use crate::graph::ExecutionGraph;
-use crate::latency::estimate_latency;
+use crate::graph::{ExecutionGraph, Path};
+use crate::latency::{estimate_latency, QueueTable};
 use crate::params::{HardwareModel, TrafficProfile};
+use crate::queueing::MmcN;
 use crate::throughput::estimate_throughput;
 use crate::units::{Bandwidth, Seconds};
 
@@ -269,39 +270,64 @@ pub fn delivered_throughput(
     hw: &HardwareModel,
     traffic: &TrafficProfile,
 ) -> Result<Bandwidth> {
-    use crate::queueing::MmcN;
-    use crate::throughput::effective_delta_in;
-
     let attainable = estimate_throughput(graph, hw, traffic)?.attainable();
     let paths = graph.paths()?;
+    let queues = QueueTable::new(graph, traffic);
+    Ok(delivered_with(traffic, attainable, &paths, &queues))
+}
+
+/// [`delivered_throughput`] over an evaluation's prebuilt attainable
+/// rate, paths and queues.
+pub(crate) fn delivered_with(
+    traffic: &TrafficProfile,
+    attainable: Bandwidth,
+    paths: &[Path],
+    queues: &QueueTable,
+) -> Bandwidth {
+    // The cascade depends on rates only, so it runs once per path, not
+    // once per packet-size class.
+    let rates: Vec<f64> = paths
+        .iter()
+        .map(|path| cascaded_rate(traffic, path, queues))
+        .collect();
     let mut delivered = 0.0;
     for (_size, w) in traffic.sizes().entries() {
-        for path in &paths {
-            // Cascade the whole-graph-equivalent rate through the
-            // path's compute nodes.
-            let mut rate = traffic.ingress_bandwidth().as_bps();
-            for node in &path.nodes {
-                let Some(p) = graph.node(*node).params() else {
-                    continue;
-                };
-                let peak = p.effective_peak();
-                if peak.is_zero() {
-                    rate = 0.0;
-                    break;
-                }
-                let load = effective_delta_in(graph, *node) * p.work_factor();
-                if load <= 0.0 {
-                    continue;
-                }
-                let rho = rate * load / peak.as_bps();
-                let q = MmcN::new(rho, p.parallelism(), p.effective_queue_capacity())
-                    .expect("finite non-negative utilization");
-                rate *= 1.0 - q.blocking_probability();
-            }
+        for (path, rate) in paths.iter().zip(&rates) {
             delivered += w * path.weight * rate;
         }
     }
-    Ok(attainable.min(Bandwidth::bps(delivered)))
+    attainable.min(Bandwidth::bps(delivered))
+}
+
+/// The whole-graph-equivalent ingress rate thinned by each compute
+/// node's blocking probability along `path`.
+fn cascaded_rate(traffic: &TrafficProfile, path: &Path, queues: &QueueTable) -> f64 {
+    let mut rate = traffic.ingress_bandwidth().as_bps();
+    for node in &path.nodes {
+        let Some(nq) = queues.get(*node) else {
+            continue;
+        };
+        let p = &nq.params;
+        let peak = p.effective_peak();
+        if peak.is_zero() {
+            return 0.0;
+        }
+        let load = nq.delta_in * p.work_factor();
+        if load <= 0.0 {
+            continue;
+        }
+        let rho = rate * load / peak.as_bps();
+        // The table's queue is reused only at a bit-equal ρ; upstream
+        // losses lower ρ, and then the queue is built at the thinned rate.
+        let blocking = match &nq.queue {
+            Some(q) if q.utilization().to_bits() == rho.to_bits() => q.blocking_probability(),
+            _ => MmcN::new(rho, p.parallelism(), p.effective_queue_capacity())
+                .expect("finite non-negative utilization")
+                .blocking_probability(),
+        };
+        rate *= 1.0 - blocking;
+    }
+    rate
 }
 
 #[cfg(test)]

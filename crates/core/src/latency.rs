@@ -9,7 +9,7 @@
 
 use crate::error::Result;
 use crate::graph::{ExecutionGraph, NodeId, Path};
-use crate::params::{HardwareModel, TrafficProfile};
+use crate::params::{HardwareModel, IpParams, TrafficProfile};
 use crate::queueing::MmcN;
 use crate::throughput::effective_delta_in;
 use crate::units::{Bytes, Seconds};
@@ -78,6 +78,157 @@ impl LatencyEstimate {
     }
 }
 
+/// The granularity-free half of one node's timing: its Eq. 11
+/// utilization and the M/M/c/N virtual queue that utilization implies.
+///
+/// The queue depends only on `(ρ, c, N)`, never on the request size,
+/// so an evaluation builds it once per node ([`QueueTable`]) and every
+/// path, packet-size class and compression stage reuses it; only the
+/// Eq. 7 service time is recomputed per size.
+#[derive(Debug)]
+pub(crate) struct NodeQueue {
+    node: NodeId,
+    pub(crate) params: IpParams,
+    /// `Σ δ_in`, with the ingress vertex receiving the whole volume.
+    pub(crate) delta_in: f64,
+    /// Offered utilization `ρ = BW_in · Σδ_in · w / P_eff` (Eq. 11).
+    utilization: f64,
+    /// The virtual queue; absent when `ρ` is not finite (no capacity).
+    pub(crate) queue: Option<MmcN>,
+}
+
+impl NodeQueue {
+    /// Builds the queue of vertex `node`, or `None` for pure data
+    /// movers (ingress/egress vertices without parameters).
+    pub(crate) fn new(
+        graph: &ExecutionGraph,
+        node: NodeId,
+        traffic: &TrafficProfile,
+    ) -> Option<NodeQueue> {
+        let params = *graph.node(node).params()?;
+        let delta_in = effective_delta_in(graph, node);
+        let peak = params.effective_peak();
+
+        // ρ = BW_in · Σδ · w / P_eff   (Eq. 11)
+        let utilization = if peak.is_zero() {
+            f64::INFINITY
+        } else {
+            traffic.ingress_bandwidth().as_bps() * delta_in * params.work_factor() / peak.as_bps()
+        };
+
+        // The paper's Eq. 12 is the D = 1 case; for multi-engine IPs the
+        // M/M/c/N generalization avoids charging queueing delay that D
+        // concurrent engines never exhibit (DESIGN.md §5b).
+        let queue = utilization.is_finite().then(|| {
+            MmcN::new(
+                utilization,
+                params.parallelism(),
+                params.effective_queue_capacity(),
+            )
+            .expect("utilization is finite and non-negative")
+        });
+        Some(NodeQueue {
+            node,
+            params,
+            delta_in,
+            utilization,
+            queue,
+        })
+    }
+
+    /// The mean request execution time `C_i / A_i` at `granularity`.
+    fn service_time(&self, granularity: Bytes) -> Seconds {
+        // C_i/A_i = D · g · w / P_eff   (Eq. 7 with routed granularity:
+        // each request carries its full `g` bytes, of which the node
+        // computes on the `w` fraction; on single-path graphs with w = 1
+        // this is exactly the paper's D·g·Σδ/(P·indegree)).
+        let p = &self.params;
+        let peak = p.effective_peak();
+        if peak.is_zero() {
+            Seconds::INFINITY
+        } else {
+            let work = p.work_factor();
+            Seconds::new(p.parallelism() as f64 * granularity.bits() as f64 * work / peak.as_bps())
+        }
+    }
+
+    /// The mean queueing delay `Q_i` (Eq. 12) ahead of requests whose
+    /// mean service time is `service`.
+    fn queueing_delay(&self, service: Seconds) -> Seconds {
+        match &self.queue {
+            Some(q) => q.queueing_delay(service),
+            None => Seconds::INFINITY,
+        }
+    }
+
+    fn drop_probability(&self) -> f64 {
+        self.queue.as_ref().map_or(1.0, MmcN::blocking_probability)
+    }
+
+    /// The full timing at one granularity.
+    fn timing(&self, granularity: Bytes) -> NodeTiming {
+        let service = self.service_time(granularity);
+        NodeTiming {
+            node: self.node,
+            service,
+            utilization: self.utilization,
+            queueing_delay: self.queueing_delay(service),
+            drop_probability: self.drop_probability(),
+        }
+    }
+
+    /// The timing under a packet-size mixture (see
+    /// [`mixture_node_timing`]).
+    fn mixture_timing(&self, traffic: &TrafficProfile) -> NodeTiming {
+        let mut mean_service = 0.0;
+        let mut second_moment = 0.0;
+        for (size, p) in traffic.sizes().entries() {
+            let s = self.service_time(traffic.granularity_for(*size)).as_secs();
+            mean_service += p * s;
+            // Exponential class service: E[S_i²] = 2·m_i².
+            second_moment += p * 2.0 * s * s;
+        }
+        let kappa = if mean_service > 0.0 {
+            second_moment / (2.0 * mean_service * mean_service)
+        } else {
+            1.0
+        };
+        let service = Seconds::new(mean_service);
+        NodeTiming {
+            node: self.node,
+            service,
+            utilization: self.utilization,
+            queueing_delay: self.queueing_delay(service).scaled(kappa),
+            drop_probability: self.drop_probability(),
+        }
+    }
+}
+
+/// One evaluation's node queues, indexed by vertex: built once and
+/// shared by the latency and delivered-rate models.
+#[derive(Debug)]
+pub(crate) struct QueueTable(Vec<Option<NodeQueue>>);
+
+impl QueueTable {
+    /// Builds the queue of every computing vertex under `traffic`.
+    pub(crate) fn new(graph: &ExecutionGraph, traffic: &TrafficProfile) -> Self {
+        QueueTable(
+            (0..graph.nodes().len())
+                .map(|i| NodeQueue::new(graph, NodeId(i), traffic))
+                .collect(),
+        )
+    }
+
+    /// The queue of `node`, or `None` for a pure data mover.
+    pub(crate) fn get(&self, node: NodeId) -> Option<&NodeQueue> {
+        self.0[node.index()].as_ref()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &NodeQueue> {
+        self.0.iter().flatten()
+    }
+}
+
 /// Computes the per-node timing (Eq. 7 service time, Eq. 11
 /// utilization, Eq. 12 queueing delay) for vertex `node` at ingress
 /// granularity `granularity`.
@@ -90,50 +241,7 @@ pub fn node_timing(
     traffic: &TrafficProfile,
     granularity: Bytes,
 ) -> Option<NodeTiming> {
-    let params = graph.node(node).params()?;
-    let delta_in = effective_delta_in(graph, node);
-    let peak = params.effective_peak();
-    let work = params.work_factor();
-
-    // C_i/A_i = D · g · w / P_eff   (Eq. 7 with routed granularity:
-    // each request carries its full `g` bytes, of which the node
-    // computes on the `w` fraction; on single-path graphs with w = 1
-    // this is exactly the paper's D·g·Σδ/(P·indegree)).
-    let service = if peak.is_zero() {
-        Seconds::INFINITY
-    } else {
-        Seconds::new(params.parallelism() as f64 * granularity.bits() as f64 * work / peak.as_bps())
-    };
-
-    // ρ = BW_in · Σδ · w / P_eff   (Eq. 11)
-    let utilization = if peak.is_zero() {
-        f64::INFINITY
-    } else {
-        traffic.ingress_bandwidth().as_bps() * delta_in * work / peak.as_bps()
-    };
-
-    // The paper's Eq. 12 is the D = 1 case; for multi-engine IPs the
-    // M/M/c/N generalization avoids charging queueing delay that D
-    // concurrent engines never exhibit (DESIGN.md §5b).
-    let (queueing_delay, drop_probability) = if utilization.is_finite() {
-        let queue = MmcN::new(
-            utilization,
-            params.parallelism(),
-            params.effective_queue_capacity(),
-        )
-        .expect("utilization is finite and non-negative");
-        (queue.queueing_delay(service), queue.blocking_probability())
-    } else {
-        (Seconds::INFINITY, 1.0)
-    };
-
-    Some(NodeTiming {
-        node,
-        service,
-        utilization,
-        queueing_delay,
-        drop_probability,
-    })
+    Some(NodeQueue::new(graph, node, traffic)?.timing(granularity))
 }
 
 /// The data movement time across one edge at granularity `g` (Eq. 7
@@ -188,47 +296,69 @@ pub fn estimate_latency_at(
     traffic: &TrafficProfile,
     granularity: Bytes,
 ) -> Result<LatencyEstimate> {
-    let timings: Vec<Option<NodeTiming>> = (0..graph.nodes().len())
-        .map(|i| node_timing(graph, NodeId(i), traffic, granularity))
-        .collect();
+    let queues = QueueTable::new(graph, traffic);
+    Ok(latency_at(graph, hw, &queues, graph.paths()?, granularity))
+}
 
-    let paths = graph.paths()?;
+/// [`estimate_latency_at`] over an evaluation's prebuilt queues and
+/// paths.
+fn latency_at(
+    graph: &ExecutionGraph,
+    hw: &HardwareModel,
+    queues: &QueueTable,
+    paths: Vec<Path>,
+    granularity: Bytes,
+) -> LatencyEstimate {
+    let per_node = queues.iter().map(|q| q.timing(granularity)).collect();
     let mut per_path = Vec::with_capacity(paths.len());
     let mut mean = Seconds::ZERO;
     for path in paths {
-        let mut latency = Seconds::ZERO;
-        // Requests may be resized along the path (compression edges);
-        // each stage executes and transfers at the size it sees.
-        let mut g_cur = granularity;
-        // Σ over edges: Q_src + C_src + O_src + transfer  (Eq. 6).
-        for eid in &path.edges {
-            let src = graph.edge(*eid).src();
-            if let Some(t) = node_timing(graph, src, traffic, g_cur) {
-                latency += t.queueing_delay;
-                latency += t.service;
-            }
-            if let Some(p) = graph.node(src).params() {
-                latency += p.overhead();
-            }
-            g_cur = g_cur.scaled(graph.edge(*eid).params().size_factor());
-            latency += edge_transfer_time(graph, *eid, hw, g_cur);
-        }
-        // Terminal vertex: Q + C (egress engines without params add 0).
-        let last = *path.nodes.last().expect("paths have at least one node");
-        if let Some(t) = node_timing(graph, last, traffic, g_cur) {
-            latency += t.queueing_delay;
-            latency += t.service;
-        }
+        let latency = path_latency(graph, hw, queues, &path, granularity, |latency, q, g| {
+            let service = q.service_time(g);
+            *latency += q.queueing_delay(service);
+            *latency += service;
+        });
         mean += latency.scaled(path.weight);
         per_path.push(PathLatency { path, latency });
     }
-
-    let per_node = timings.into_iter().flatten().collect();
-    Ok(LatencyEstimate {
+    LatencyEstimate {
         mean,
         per_path,
         per_node,
-    })
+    }
+}
+
+/// One request's latency along `path` entering at size `g_in` (Eq. 6):
+/// `Σ Q_src + C_src + O_src + transfer` over the edges, plus the
+/// terminal vertex's `Q + C`. `stage` adds a compute vertex's queueing
+/// and execution time at the size the request has there.
+fn path_latency(
+    graph: &ExecutionGraph,
+    hw: &HardwareModel,
+    queues: &QueueTable,
+    path: &Path,
+    g_in: Bytes,
+    stage: impl Fn(&mut Seconds, &NodeQueue, Bytes),
+) -> Seconds {
+    let mut latency = Seconds::ZERO;
+    // Requests may be resized along the path (compression edges);
+    // each stage executes and transfers at the size it sees.
+    let mut g_cur = g_in;
+    for eid in &path.edges {
+        let edge = graph.edge(*eid);
+        if let Some(q) = queues.get(edge.src()) {
+            stage(&mut latency, q, g_cur);
+            latency += q.params.overhead();
+        }
+        g_cur = g_cur.scaled(edge.params().size_factor());
+        latency += edge_transfer_time(graph, *eid, hw, g_cur);
+    }
+    // Terminal vertex: Q + C (egress engines without params add 0).
+    let last = *path.nodes.last().expect("paths have at least one node");
+    if let Some(q) = queues.get(last) {
+        stage(&mut latency, q, g_cur);
+    }
+    latency
 }
 
 /// Per-node timing for a packet-size *mixture* (§3.7, extension #2).
@@ -244,64 +374,7 @@ pub fn mixture_node_timing(
     node: NodeId,
     traffic: &TrafficProfile,
 ) -> Option<NodeTiming> {
-    let params = graph.node(node).params()?;
-    let entries = traffic.sizes().entries();
-    let mut mean_service = 0.0;
-    let mut second_moment = 0.0;
-    for (size, p) in entries {
-        let g = traffic.granularity_for(*size);
-        let t = node_timing(graph, node, traffic, g)?;
-        let s = t.service.as_secs();
-        mean_service += p * s;
-        // Exponential class service: E[S_i²] = 2·m_i².
-        second_moment += p * 2.0 * s * s;
-    }
-    let kappa = if mean_service > 0.0 {
-        second_moment / (2.0 * mean_service * mean_service)
-    } else {
-        1.0
-    };
-    // Utilization is size-independent (Eq. 11 uses rates, not sizes);
-    // reuse any class's value.
-    let reference = node_timing(graph, node, traffic, traffic.sizes().mean_size())?;
-    let base_queue = {
-        let q = Mm1cApprox::new(
-            reference.utilization,
-            params.parallelism(),
-            params.effective_queue_capacity(),
-        );
-        q.delay(Seconds::new(mean_service))
-    };
-    Some(NodeTiming {
-        node,
-        service: Seconds::new(mean_service),
-        utilization: reference.utilization,
-        queueing_delay: base_queue.scaled(kappa),
-        drop_probability: reference.drop_probability,
-    })
-}
-
-/// Internal shim so the mixture path shares the M/M/c/N machinery.
-struct Mm1cApprox {
-    queue: Option<MmcN>,
-}
-
-impl Mm1cApprox {
-    fn new(utilization: f64, engines: u32, capacity: u32) -> Self {
-        let queue = if utilization.is_finite() {
-            Some(MmcN::new(utilization, engines, capacity).expect("finite utilization"))
-        } else {
-            None
-        };
-        Mm1cApprox { queue }
-    }
-
-    fn delay(&self, service: Seconds) -> Seconds {
-        match &self.queue {
-            Some(q) => q.queueing_delay(service),
-            None => Seconds::INFINITY,
-        }
-    }
+    Some(NodeQueue::new(graph, node, traffic)?.mixture_timing(traffic))
 }
 
 /// Estimates the application latency for the full traffic profile: a
@@ -313,7 +386,8 @@ impl Mm1cApprox {
 ///
 /// # Errors
 ///
-/// Propagates errors from [`estimate_latency_at`].
+/// Propagates the path-enumeration error from
+/// [`ExecutionGraph::paths`].
 ///
 /// # Examples
 ///
@@ -337,57 +411,51 @@ pub fn estimate_latency(
     hw: &HardwareModel,
     traffic: &TrafficProfile,
 ) -> Result<LatencyEstimate> {
-    let entries = traffic.sizes().entries().to_vec();
-    if entries.len() == 1 {
-        let g_in = traffic.granularity_for(entries[0].0);
-        return estimate_latency_at(graph, hw, traffic, g_in);
+    let queues = QueueTable::new(graph, traffic);
+    Ok(latency_with(graph, hw, traffic, &queues, graph.paths()?))
+}
+
+/// [`estimate_latency`] over an evaluation's prebuilt queues and paths.
+pub(crate) fn latency_with(
+    graph: &ExecutionGraph,
+    hw: &HardwareModel,
+    traffic: &TrafficProfile,
+    queues: &QueueTable,
+    paths: Vec<Path>,
+) -> LatencyEstimate {
+    let entries = traffic.sizes().entries();
+    if let [(size, _)] = entries {
+        return latency_at(graph, hw, queues, paths, traffic.granularity_for(*size));
     }
     // Mixture: per-node queueing comes from the mixture service
     // distribution; execution and transfers are per class.
-    let timings: Vec<Option<NodeTiming>> = (0..graph.nodes().len())
-        .map(|i| mixture_node_timing(graph, NodeId(i), traffic))
+    let timings: Vec<Option<NodeTiming>> = queues
+        .0
+        .iter()
+        .map(|q| q.as_ref().map(|q| q.mixture_timing(traffic)))
         .collect();
-    let paths = graph.paths()?;
     let mut per_path = Vec::with_capacity(paths.len());
     let mut mean = Seconds::ZERO;
     for path in paths {
         let mut latency = Seconds::ZERO;
-        for (size, weight) in &entries {
-            let mut g_cur = traffic.granularity_for(*size);
-            let mut class_latency = Seconds::ZERO;
-            for eid in &path.edges {
-                let src = graph.edge(*eid).src();
-                if let Some(t) = &timings[src.index()] {
-                    class_latency += t.queueing_delay;
-                    if let Some(ct) = node_timing(graph, src, traffic, g_cur) {
-                        class_latency += ct.service;
-                    }
+        for (size, weight) in entries {
+            let g_in = traffic.granularity_for(*size);
+            let class_latency = path_latency(graph, hw, queues, &path, g_in, |latency, q, g| {
+                if let Some(t) = &timings[q.node.index()] {
+                    *latency += t.queueing_delay;
                 }
-                if let Some(p) = graph.node(src).params() {
-                    class_latency += p.overhead();
-                }
-                let factor = graph.edge(*eid).params().size_factor();
-                g_cur = g_cur.scaled(factor);
-                class_latency += edge_transfer_time(graph, *eid, hw, g_cur);
-            }
-            let last = *path.nodes.last().expect("paths have at least one node");
-            if let Some(t) = &timings[last.index()] {
-                class_latency += t.queueing_delay;
-                if let Some(ct) = node_timing(graph, last, traffic, g_cur) {
-                    class_latency += ct.service;
-                }
-            }
+                *latency += q.service_time(g);
+            });
             latency += class_latency.scaled(*weight);
         }
         mean += latency.scaled(path.weight);
         per_path.push(PathLatency { path, latency });
     }
-    let per_node = timings.into_iter().flatten().collect();
-    Ok(LatencyEstimate {
+    LatencyEstimate {
         mean,
         per_path,
-        per_node,
-    })
+        per_node: timings.into_iter().flatten().collect(),
+    }
 }
 
 #[cfg(test)]

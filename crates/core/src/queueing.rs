@@ -210,6 +210,9 @@ pub struct MmcN {
     capacity: u32,
     /// Stationary occupancy distribution, `probs[k]` = P(k in system).
     probs: Vec<f64>,
+    /// Mean requests waiting, `L_q`: the only distribution moment the
+    /// delay needs, summed once so [`MmcN::queueing_delay`] is O(1).
+    queue_length: f64,
 }
 
 impl MmcN {
@@ -248,37 +251,54 @@ impl MmcN {
         // Offered load in erlangs: a = λ/μ = ρ·c.
         let a = rho * engines as f64;
         let n = capacity as usize;
-        // Log-space weights: ln w_{k+1} = ln w_k + ln a − ln min(k+1, c).
-        let mut log_w = Vec::with_capacity(n + 1);
-        log_w.push(0.0f64);
+        let mut probs = vec![0.0f64; n + 1];
         if a == 0.0 {
-            let mut probs = vec![0.0; n + 1];
             probs[0] = 1.0;
-            return Ok(MmcN {
-                rho,
-                engines,
-                capacity,
-                probs,
-            });
+            return Ok(MmcN::from_probs(rho, engines, capacity, probs));
         }
+        // Log-space weights, built in place:
+        // ln w_{k+1} = ln w_k + ln a − ln min(k+1, c). Past the first
+        // `c` states every step divides by `c`, so `ln c` is taken once.
         let ln_a = a.ln();
+        let ln_c = (engines as f64).ln();
+        let c = engines as usize;
+        let mut log_w = 0.0f64;
+        let mut max = 0.0f64;
         for k in 0..n {
-            let srv = (k + 1).min(engines as usize) as f64;
-            let prev = *log_w.last().expect("non-empty");
-            log_w.push(prev + ln_a - srv.ln());
+            let ln_srv = if k + 1 < c {
+                ((k + 1) as f64).ln()
+            } else {
+                ln_c
+            };
+            log_w = log_w + ln_a - ln_srv;
+            probs[k + 1] = log_w;
+            max = max.max(log_w);
         }
-        let max = log_w.iter().copied().fold(f64::MIN, f64::max);
-        let mut probs: Vec<f64> = log_w.iter().map(|l| (l - max).exp()).collect();
+        for p in &mut probs {
+            *p = (*p - max).exp();
+        }
         let total: f64 = probs.iter().sum();
         for p in &mut probs {
             *p /= total;
         }
-        Ok(MmcN {
+        Ok(MmcN::from_probs(rho, engines, capacity, probs))
+    }
+
+    fn from_probs(rho: f64, engines: u32, capacity: u32, probs: Vec<f64>) -> Self {
+        let c = engines as usize;
+        let queue_length = probs
+            .iter()
+            .enumerate()
+            .skip(c + 1)
+            .map(|(k, p)| (k - c) as f64 * p)
+            .sum();
+        MmcN {
             rho,
             engines,
             capacity,
             probs,
-        })
+            queue_length,
+        }
     }
 
     /// The system utilization `ρ`.
@@ -317,13 +337,7 @@ impl MmcN {
 
     /// Mean requests *waiting* (beyond the `c` in service).
     pub fn mean_queue_length(&self) -> f64 {
-        let c = self.engines as usize;
-        self.probs
-            .iter()
-            .enumerate()
-            .skip(c + 1)
-            .map(|(k, p)| (k - c) as f64 * p)
-            .sum()
+        self.queue_length
     }
 
     /// Mean queueing delay for a per-request service time
@@ -551,6 +565,86 @@ mod tests {
     }
 
     // --- M/M/c/N ---
+
+    /// The original M/M/c/N constructor, kept verbatim as the
+    /// bit-identity reference: two buffers, one `ln` per state.
+    fn reference_mmcn_probs(rho: f64, engines: u32, capacity: u32) -> Vec<f64> {
+        let capacity = capacity.max(engines);
+        let a = rho * engines as f64;
+        let n = capacity as usize;
+        let mut log_w = Vec::with_capacity(n + 1);
+        log_w.push(0.0f64);
+        if a == 0.0 {
+            let mut probs = vec![0.0; n + 1];
+            probs[0] = 1.0;
+            return probs;
+        }
+        let ln_a = a.ln();
+        for k in 0..n {
+            let srv = (k + 1).min(engines as usize) as f64;
+            let prev = *log_w.last().expect("non-empty");
+            log_w.push(prev + ln_a - srv.ln());
+        }
+        let max = log_w.iter().copied().fold(f64::MIN, f64::max);
+        let mut probs: Vec<f64> = log_w.iter().map(|l| (l - max).exp()).collect();
+        let total: f64 = probs.iter().sum();
+        for p in &mut probs {
+            *p /= total;
+        }
+        probs
+    }
+
+    #[test]
+    fn mmcn_is_bit_identical_to_reference_constructor() {
+        let services = [Seconds::micros(0.5), Seconds::micros(10.0)];
+        for &rho in &[0.0, 1e-9, 0.3, 0.999999, 1.0, 1.000001, 2.0, 50.0] {
+            for &c in &[1u32, 2, 8, 64] {
+                for n in [1, c - 1, c, 64, 512, 4096] {
+                    if n == 0 {
+                        assert!(MmcN::new(rho, c, n).is_err());
+                        continue;
+                    }
+                    let case = format!("rho={rho} c={c} n={n}");
+                    let m = MmcN::new(rho, c, n).unwrap();
+                    let probs = reference_mmcn_probs(rho, c, n);
+                    assert_eq!(m.capacity() as usize + 1, probs.len(), "{case}");
+                    for (k, want) in probs.iter().enumerate() {
+                        let got = m.occupancy_probability(k as u32);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{case} k={k}");
+                    }
+                    let last = *probs.last().expect("non-empty");
+                    assert_eq!(m.blocking_probability().to_bits(), last.to_bits(), "{case}");
+                    let cu = c as usize;
+                    let lq: f64 = probs
+                        .iter()
+                        .enumerate()
+                        .skip(cu + 1)
+                        .map(|(k, p)| (k - cu) as f64 * p)
+                        .sum();
+                    assert_eq!(m.mean_queue_length().to_bits(), lq.to_bits(), "{case}");
+                    for s in services {
+                        let want = if rho == 0.0 {
+                            Seconds::ZERO
+                        } else {
+                            let lambda = rho * c as f64 / s.as_secs().max(f64::MIN_POSITIVE);
+                            let lambda_e = lambda * (1.0 - last);
+                            if lambda_e <= 0.0 {
+                                Seconds::ZERO
+                            } else {
+                                Seconds::new(lq / lambda_e)
+                            }
+                        };
+                        let got = m.queueing_delay(s);
+                        assert_eq!(
+                            got.as_secs().to_bits(),
+                            want.as_secs().to_bits(),
+                            "{case} service={s}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn mmcn_rejects_invalid_inputs() {

@@ -125,11 +125,15 @@ impl fmt::Display for Json {
     }
 }
 
-/// Renders a finite `f64` deterministically: integral values within
-/// the exactly-representable range print as integers.
+/// Renders an `f64` deterministically: integral values within the
+/// exactly-representable range print as integers, and non-finite
+/// values (an undefined confidence bound, an unbounded latency) print
+/// as `null`, since JSON has no spelling for them.
 pub fn render_number(n: f64, out: &mut String) {
     use core::fmt::Write as _;
-    if n.fract() == 0.0 && n.abs() < 9.0e15 {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
         let _ = write!(out, "{}", n as i64);
     } else {
         let _ = write!(out, "{n}");
@@ -413,6 +417,21 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn non_finite_numbers_render_as_null() {
+        for (n, want) in [
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+            (f64::NAN, "null"),
+            (3.0, "3"),
+            (-0.5, "-0.5"),
+        ] {
+            let mut out = String::new();
+            render_number(n, &mut out);
+            assert_eq!(out, want, "{n}");
+        }
+    }
 
     #[test]
     fn round_trips_a_request_shape() {

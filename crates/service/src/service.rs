@@ -16,13 +16,15 @@
 //! byte-identical transcripts across runs and across thread counts,
 //! which is what the golden tests pin.
 
+use std::borrow::Cow;
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lognic_model::analyze::{AnalysisConfig, Analyzer, Severity};
 use lognic_model::error::LogNicError;
-use lognic_model::estimate::Estimate;
+use lognic_model::estimate::{Estimate, Estimator};
 use lognic_model::fault::FaultPlan;
+use lognic_model::params::TrafficProfile;
 use lognic_model::sweep::{knee_of, rate_sweep};
 use lognic_model::units::{Bandwidth, Seconds};
 use lognic_sim::fleet::FleetBuilder;
@@ -341,14 +343,18 @@ impl Service {
             .ok_or_else(|| ServiceError::UnknownGraph {
                 graph: graph.to_owned(),
             })?;
-        let scenario = match req.rate_gbps {
-            Some(r) => entry.scenario.at_rate(Bandwidth::gbps(r)),
-            None => entry.scenario.clone(),
+        // Graph and hardware are borrowed from the registry; only a
+        // rate override builds a new traffic profile.
+        let (g, hw) = (&entry.scenario.graph, &entry.scenario.hardware);
+        let traffic = match req.rate_gbps {
+            Some(r) => Cow::Owned(entry.scenario.traffic.at_rate(Bandwidth::gbps(r))),
+            None => Cow::Borrowed(&entry.scenario.traffic),
         };
+        let traffic = traffic.as_ref();
         let analysis_config = AnalysisConfig::new().deny_warnings(req.deny_warnings);
-        let report = Analyzer::new(&scenario.graph)
-            .with_hardware(&scenario.hardware)
-            .with_traffic(&scenario.traffic)
+        let report = Analyzer::new(g)
+            .with_hardware(hw)
+            .with_traffic(traffic)
             .run(&analysis_config);
         if req.kind == RequestKind::Analyze {
             return Ok(render_analysis(&report));
@@ -362,7 +368,7 @@ impl Service {
         }
         match req.kind {
             RequestKind::Estimate => {
-                let est = scenario.estimator().request().evaluate()?;
+                let est = Estimator::new(g, hw, traffic).request().evaluate()?;
                 Ok(render_estimate("estimate", &entry.name, &est))
             }
             RequestKind::EstimateDegraded => {
@@ -375,22 +381,15 @@ impl Service {
                         ),
                     }
                 })?;
-                let est = scenario
-                    .estimator()
+                let est = Estimator::new(g, hw, traffic)
                     .request()
                     .with_faults(plan, Seconds::millis(req.horizon_ms))
                     .evaluate()?;
                 Ok(render_estimate("estimate_degraded", &entry.name, &est))
             }
             RequestKind::Sweep => {
-                let reference = scenario.traffic.ingress_bandwidth();
-                let points = rate_sweep(
-                    &scenario.graph,
-                    &scenario.hardware,
-                    &scenario.traffic,
-                    reference,
-                    &req.fractions,
-                )?;
+                let reference = traffic.ingress_bandwidth();
+                let points = rate_sweep(g, hw, traffic, reference, &req.fractions)?;
                 let knee = knee_of(&points, 0.01);
                 let mut out = String::with_capacity(64 + points.len() * 96);
                 push_kind(&mut out, "sweep", &entry.name);
@@ -416,7 +415,7 @@ impl Service {
                 }
                 Ok(out)
             }
-            RequestKind::Simulate => self.evaluate_simulate(req, entry, &scenario),
+            RequestKind::Simulate => self.evaluate_simulate(req, entry, traffic),
             RequestKind::Analyze
             | RequestKind::FleetSimulate
             | RequestKind::Health
@@ -487,7 +486,7 @@ impl Service {
         &self,
         req: &Request,
         entry: &GraphEntry,
-        scenario: &Scenario,
+        traffic: &TrafficProfile,
     ) -> Result<String, ServiceError> {
         let duration = Seconds::millis(req.duration_ms);
         let mut budget = self.config.max_events_per_request;
@@ -511,16 +510,16 @@ impl Service {
         let plan = inline.as_ref().or(entry.plan.as_ref());
         let report = match plan {
             Some(p) => replication.run_sim_faulted(
-                &scenario.graph,
-                &scenario.hardware,
-                &scenario.traffic,
+                &entry.scenario.graph,
+                &entry.scenario.hardware,
+                traffic,
                 config,
                 p,
             )?,
             None => replication.run_sim(
-                &scenario.graph,
-                &scenario.hardware,
-                &scenario.traffic,
+                &entry.scenario.graph,
+                &entry.scenario.hardware,
+                traffic,
                 config,
             )?,
         };
@@ -753,6 +752,7 @@ pub fn serve<R: BufRead, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn det_service() -> Service {
         Service::new(ServeConfig {
@@ -770,6 +770,25 @@ mod tests {
         assert!(out.contains("\"delivered_gbps\":"), "{out}");
         parse(&out).expect("valid JSON");
         assert_eq!(s.stats().served, 1);
+    }
+
+    #[test]
+    fn single_replica_simulate_is_valid_json() {
+        // One replica leaves the confidence bounds undefined; they are
+        // answered as `null` rather than a bare `inf`.
+        let mut s = det_service();
+        let out = s.handle_line(
+            r#"{"id":2,"kind":"simulate","graph":"nvmeof","seeds":1,"duration_ms":1}"#,
+        );
+        assert!(out.contains("\"ok\":true"), "{out}");
+        let doc = parse(&out).expect("valid JSON");
+        let latency = doc.get("latency_s").expect("latency summary");
+        assert!(
+            latency.get("mean").and_then(Json::as_f64).is_some(),
+            "{out}"
+        );
+        assert_eq!(latency.get("ci_lo"), Some(&Json::Null), "{out}");
+        assert_eq!(latency.get("ci_hi"), Some(&Json::Null), "{out}");
     }
 
     #[test]
