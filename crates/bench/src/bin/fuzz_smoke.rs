@@ -17,8 +17,8 @@
 //! from its spec) and the process exits 1.
 //!
 //! With `--sanitize` the oracle swaps to the sanitized differential
-//! check: all four {calendar, heap} × {batched, scalar} combinations
-//! run under the runtime sanitizer and must agree byte-for-byte on
+//! check: the calendar queue and the reference heap both run under
+//! the runtime sanitizer and must agree byte-for-byte on
 //! the report and the audited RNG draw count, with zero invariant
 //! violations. (The model-vs-replication CI stage is skipped in this
 //! mode — it gates engine mechanics, not model fidelity.)

@@ -1,23 +1,17 @@
 //! The tracked simulator-performance baseline.
 //!
 //! Runs the representative workloads (microservices, NVMe-oF,
-//! accelerator-brownout chaos, and the doorbell-burst train workload
-//! in both batched and scalar flavors) under **both** scheduler
-//! engines — the calendar queue and the retained binary-heap
-//! reference — and records events/sec, wall time and steady-state
-//! allocations-per-event into `BENCH_sim.json`, together with a
-//! `batch_telemetry` section (train-length histogram summaries per
-//! workload: how long the same-timestamp event trains were and what
-//! fraction of events rode the batched arrival fast path). The
-//! `doorbell_burst` / `doorbell_burst_scalar` pair is the committed
-//! evidence for the batch fast path's speedup — same scenario, same
-//! trace, `SimConfig::batch` flipped. The `fleet_rack16_s{1,2,4,8}`
-//! rows run the 16-NIC registry rack through the sharded fleet loop
-//! at each shard count (aggregate events are byte-identical across
-//! counts, so the rows isolate wall-clock scaling on the bench
-//! machine — see DESIGN §5l for the honest analysis). CI replays the
-//! same measurements and fails when events/sec regresses by more
-//! than 25 % against the committed baseline (`--check`).
+//! accelerator-brownout chaos, and the doorbell-burst workload of
+//! same-timestamp arrival trains) plus a scheduler hold-model stress
+//! and records events/sec, wall time and steady-state
+//! allocations-per-event into `BENCH_sim.json`, one row per workload.
+//! The `fleet_rack16_s{1,2,4,8}` rows run the 16-NIC registry rack
+//! through the sharded fleet loop at each shard count (aggregate
+//! events are byte-identical across counts, so the rows isolate
+//! wall-clock scaling on the bench machine — see DESIGN §5l for the
+//! honest analysis). CI replays the same measurements and fails when
+//! events/sec regresses by more than 25 % against the committed
+//! baseline (`--check`).
 //!
 //! Usage:
 //!
@@ -43,15 +37,12 @@
 //! trend tracking.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use lognic_model::units::{Bandwidth, Seconds};
 use lognic_sim::calendar::CalendarQueue;
 use lognic_sim::prelude::*;
-use lognic_sim::sim::Engine;
 use lognic_workloads::chaos::accelerator_brownout;
 use lognic_workloads::doorbell::{doorbell_burst, BurstPlan};
 use lognic_workloads::microservices::{scenario, AllocationScheme, App};
@@ -93,10 +84,9 @@ fn allocs_now() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// One workload under one engine.
+/// One measured workload.
 struct Case {
     name: &'static str,
-    engine: Engine,
     events: u64,
     wall_secs: f64,
     events_per_sec: f64,
@@ -109,9 +99,6 @@ struct Workload {
     plan: Option<FaultPlan>,
     /// Replayed trace injection (`None` = synthetic traffic).
     trace: Option<Trace>,
-    /// Whether the batched train fast path is enabled for this row
-    /// (the production default; a `false` row isolates its speedup).
-    batch: bool,
     millis: f64,
 }
 
@@ -129,7 +116,6 @@ fn workloads() -> Vec<Workload> {
             scenario: scenario(App::NfvFin, AllocationScheme::RoundRobin, 2.0e6),
             plan: None,
             trace: None,
-            batch: true,
             millis: 60.0,
         },
         Workload {
@@ -140,7 +126,6 @@ fn workloads() -> Vec<Workload> {
             ),
             plan: None,
             trace: None,
-            batch: true,
             millis: 60.0,
         },
         Workload {
@@ -148,46 +133,25 @@ fn workloads() -> Vec<Workload> {
             scenario: chaos.scenario,
             plan: Some(chaos.plan),
             trace: None,
-            batch: true,
             millis: 40.0,
         },
-        // The same doorbell-burst replay twice — batched (the
-        // default) and scalar — so the committed baseline carries the
-        // batch fast path's whole-sim speedup explicitly.
         Workload {
             name: "doorbell_burst",
-            scenario: burst.clone(),
-            plan: None,
-            trace: Some(burst_trace.clone()),
-            batch: true,
-            millis: 60.0,
-        },
-        Workload {
-            name: "doorbell_burst_scalar",
             scenario: burst,
             plan: None,
             trace: Some(burst_trace),
-            batch: false,
             millis: 60.0,
         },
     ]
 }
 
-fn cfg(engine: Engine, millis: f64) -> SimConfig {
-    SimConfig {
-        seed: 42,
-        duration: Seconds::millis(millis),
-        warmup: Seconds::millis(millis * 0.2),
-        engine,
-        ..SimConfig::default()
-    }
-}
-
-fn builder_for(w: &Workload, engine: Engine, millis: f64) -> Simulation {
+fn builder_for(w: &Workload, millis: f64) -> Simulation {
     let mut b = Simulation::builder(&w.scenario.graph, &w.scenario.hardware, &w.scenario.traffic)
         .config(SimConfig {
-            batch: w.batch,
-            ..cfg(engine, millis)
+            seed: 42,
+            duration: Seconds::millis(millis),
+            warmup: Seconds::millis(millis * 0.2),
+            ..SimConfig::default()
         });
     if let Some(plan) = &w.plan {
         b = b.with_fault_plan(plan.clone());
@@ -198,22 +162,22 @@ fn builder_for(w: &Workload, engine: Engine, millis: f64) -> Simulation {
     b.build().expect("workload scenarios are valid")
 }
 
-fn run_once(w: &Workload, engine: Engine, millis: f64) -> (SimReport, f64) {
-    let sim = builder_for(w, engine, millis);
+fn run_once(w: &Workload, millis: f64) -> (SimReport, f64) {
+    let sim = builder_for(w, millis);
     let start = Instant::now();
     let report = sim.run().expect("bench runs stay under the watchdog");
     (report, start.elapsed().as_secs_f64())
 }
 
-fn measure(w: &Workload, engine: Engine) -> Case {
+fn measure(w: &Workload) -> Case {
     // Steady-state allocations: delta between a full and a half run of
     // the same scenario — build/report transients cancel.
-    let (half, _) = run_once(w, engine, w.millis * 0.5);
+    let (half, _) = run_once(w, w.millis * 0.5);
     let a0 = allocs_now();
-    let (full_for_allocs, _) = run_once(w, engine, w.millis);
+    let (full_for_allocs, _) = run_once(w, w.millis);
     let a1 = allocs_now();
     let half_allocs_start = allocs_now();
-    let (_, _) = run_once(w, engine, w.millis * 0.5);
+    let (_, _) = run_once(w, w.millis * 0.5);
     let half_allocs = allocs_now() - half_allocs_start;
     let delta_allocs = (a1 - a0).saturating_sub(half_allocs);
     let delta_events = full_for_allocs.events.saturating_sub(half.events).max(1);
@@ -223,7 +187,7 @@ fn measure(w: &Workload, engine: Engine) -> Case {
     let mut best = f64::INFINITY;
     let mut events = 0;
     for _ in 0..3 {
-        let (report, secs) = run_once(w, engine, w.millis);
+        let (report, secs) = run_once(w, w.millis);
         if secs < best {
             best = secs;
         }
@@ -231,7 +195,6 @@ fn measure(w: &Workload, engine: Engine) -> Case {
     }
     Case {
         name: w.name,
-        engine,
         events,
         wall_secs: best,
         events_per_sec: events as f64 / best,
@@ -239,9 +202,9 @@ fn measure(w: &Workload, engine: Engine) -> Case {
     }
 }
 
-/// Hold-model pending set: large enough that a binary heap pays ~20
-/// cache-missing sift levels per operation while the calendar stays
-/// O(1) (a few touches regardless of size).
+/// Hold-model pending set: large enough that a binary heap would pay
+/// ~20 cache-missing sift levels per operation while the calendar
+/// stays O(1) (a few touches regardless of size).
 const HOLD_PENDING: u64 = 2_000_000;
 /// Steady-state operations per timed pass.
 const HOLD_OPS: u64 = 2_000_000;
@@ -265,56 +228,34 @@ impl XorShift {
 /// `HOLD_PENDING` events pending; every operation pops the minimum and
 /// schedules a replacement a uniform random offset into the future.
 /// Whole-simulation runs spend most of each event outside the queue,
-/// so engine differences only surface here, where the scheduler *is*
-/// the workload. Both engines consume the identical offset stream and
-/// pop in the identical `(time, seq)` order, so the comparison is
-/// work-for-work. Returns `(events, wall_secs, allocs_per_event)`.
-fn hold_run(engine: Engine) -> (u64, f64, f64) {
+/// so scheduler costs only surface here, where the scheduler *is* the
+/// workload. Returns `(events, wall_secs, allocs_per_event)`.
+fn hold_run() -> (u64, f64, f64) {
     let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
     let mut inc = move || 1 + rng.next() % (2 * HOLD_MEAN_INC_PS);
     let mut seq = 0u64;
     let mut acc = 0u64;
-    let (secs, allocs) = match engine {
-        Engine::Calendar => {
-            let mut q = CalendarQueue::new((HOLD_MEAN_INC_PS / HOLD_PENDING).max(1));
-            for i in 0..HOLD_PENDING {
-                seq += 1;
-                q.push(inc(), seq, i as u32);
-            }
-            let a0 = allocs_now();
-            let start = Instant::now();
-            for _ in 0..HOLD_OPS {
-                let (t, _, p) = q.pop().expect("hold set never drains");
-                acc = acc.wrapping_add(p as u64);
-                seq += 1;
-                q.push(t + inc(), seq, p);
-            }
-            (start.elapsed().as_secs_f64(), allocs_now() - a0)
-        }
-        Engine::ReferenceHeap => {
-            let mut q: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-            for i in 0..HOLD_PENDING {
-                seq += 1;
-                q.push(Reverse((inc(), seq, i as u32)));
-            }
-            let a0 = allocs_now();
-            let start = Instant::now();
-            for _ in 0..HOLD_OPS {
-                let Reverse((t, _, p)) = q.pop().expect("hold set never drains");
-                acc = acc.wrapping_add(p as u64);
-                seq += 1;
-                q.push(Reverse((t + inc(), seq, p)));
-            }
-            (start.elapsed().as_secs_f64(), allocs_now() - a0)
-        }
-    };
+    let mut q = CalendarQueue::new((HOLD_MEAN_INC_PS / HOLD_PENDING).max(1));
+    for i in 0..HOLD_PENDING {
+        seq += 1;
+        q.push(inc(), seq, i as u32);
+    }
+    let a0 = allocs_now();
+    let start = Instant::now();
+    for _ in 0..HOLD_OPS {
+        let (t, _, p) = q.pop().expect("hold set never drains");
+        acc = acc.wrapping_add(p as u64);
+        seq += 1;
+        q.push(t + inc(), seq, p);
+    }
+    let (secs, allocs) = (start.elapsed().as_secs_f64(), allocs_now() - a0);
     std::hint::black_box(acc);
     (HOLD_OPS, secs, allocs as f64 / HOLD_OPS as f64)
 }
 
-/// Rack size for the fleet scaling rows: 16 NICs keeps the full
-/// 4-shard-count × 2-engine sweep affordable while still spreading
-/// several NICs per shard at every measured count.
+/// Rack size for the fleet scaling rows: 16 NICs keeps the
+/// 4-shard-count sweep affordable while still spreading several NICs
+/// per shard at every measured count.
 const FLEET_NICS: usize = 16;
 
 /// Shard counts measured for the committed scaling rows.
@@ -335,12 +276,11 @@ fn fleet_case_name(shards: usize) -> &'static str {
 /// (the steady-state loop is what shards parallelize); `events` is
 /// the aggregate across NICs and — by the determinism guarantee —
 /// identical at every shard count, so rows differ only in wall time.
-fn measure_fleet(shards: usize, engine: Engine) -> Case {
+fn measure_fleet(shards: usize) -> Case {
     let mut best = f64::INFINITY;
     let mut events = 0;
     for _ in 0..3 {
         let fleet = rack::smoke_fleet(FLEET_NICS, shards)
-            .engine(engine)
             .build()
             .expect("the registry rack builds");
         let start = Instant::now();
@@ -353,7 +293,6 @@ fn measure_fleet(shards: usize, engine: Engine) -> Case {
     }
     Case {
         name: fleet_case_name(shards),
-        engine,
         events,
         wall_secs: best,
         events_per_sec: events as f64 / best,
@@ -361,12 +300,12 @@ fn measure_fleet(shards: usize, engine: Engine) -> Case {
     }
 }
 
-fn measure_hold(engine: Engine) -> Case {
+fn measure_hold() -> Case {
     let mut best = f64::INFINITY;
     let mut allocs_per_event = 0.0;
     let mut events = 0;
     for _ in 0..3 {
-        let (ev, secs, allocs) = hold_run(engine);
+        let (ev, secs, allocs) = hold_run();
         if secs < best {
             best = secs;
             allocs_per_event = allocs;
@@ -375,7 +314,6 @@ fn measure_hold(engine: Engine) -> Case {
     }
     Case {
         name: "sched_hold_2m",
-        engine,
         events,
         wall_secs: best,
         events_per_sec: events as f64 / best,
@@ -385,13 +323,8 @@ fn measure_hold(engine: Engine) -> Case {
 
 /// One timed run with an explicit observer through the generic
 /// `run_with` path; returns `(events, wall_secs)`.
-fn run_once_observed<O: SimObserver>(
-    w: &Workload,
-    engine: Engine,
-    millis: f64,
-    obs: &mut O,
-) -> (u64, f64) {
-    let sim = builder_for(w, engine, millis);
+fn run_once_observed<O: SimObserver>(w: &Workload, millis: f64, obs: &mut O) -> (u64, f64) {
+    let sim = builder_for(w, millis);
     let start = Instant::now();
     let report = sim
         .run_with(obs)
@@ -425,13 +358,13 @@ fn trace_overhead() -> ! {
     let mut ring_records = 0u64;
     for round in 0..ROUNDS {
         let run_plain = |best: &mut f64, events: &mut u64| {
-            let (report, secs) = run_once(&w, Engine::Calendar, millis);
+            let (report, secs) = run_once(&w, millis);
             *best = best.min(secs);
             *events = report.events;
         };
         let run_noop = |best: &mut f64| {
             let mut noop = NoopObserver;
-            let (_, secs) = run_once_observed(&w, Engine::Calendar, millis, &mut noop);
+            let (_, secs) = run_once_observed(&w, millis, &mut noop);
             *best = best.min(secs);
         };
         if round % 2 == 0 {
@@ -443,7 +376,7 @@ fn trace_overhead() -> ! {
         }
 
         let mut ring = RingLog::with_capacity(1 << 18);
-        let (_, secs) = run_once_observed(&w, Engine::Calendar, millis, &mut ring);
+        let (_, secs) = run_once_observed(&w, millis, &mut ring);
         best_ring = best_ring.min(secs);
         ring_records = ring.written();
     }
@@ -452,13 +385,13 @@ fn trace_overhead() -> ! {
     let noop_eps = events as f64 / best_noop;
     let ring_eps = events as f64 / best_ring;
     println!(
-        "trace-overhead chaos/calendar  plain {:>12.0} ev/s  noop-observer {:>12.0} ev/s  ({:+.2}%)",
+        "trace-overhead chaos  plain {:>12.0} ev/s  noop-observer {:>12.0} ev/s  ({:+.2}%)",
         plain_eps,
         noop_eps,
         (noop_eps / plain_eps - 1.0) * 100.0,
     );
     println!(
-        "trace-overhead chaos/calendar  ring-sink {:>12.0} ev/s  ({:+.2}%, {} records, informational)",
+        "trace-overhead chaos  ring-sink {:>12.0} ev/s  ({:+.2}%, {} records, informational)",
         ring_eps,
         (ring_eps / plain_eps - 1.0) * 100.0,
         ring_records,
@@ -471,46 +404,12 @@ fn trace_overhead() -> ! {
     std::process::exit(0);
 }
 
-/// Train-length telemetry for one workload (calendar engine, the
-/// workload's own batch setting): explains *why* a row does or does
-/// not benefit from the batch fast path.
-struct Telemetry {
-    name: &'static str,
-    trains: u64,
-    train_len_mean: f64,
-    train_len_p50: usize,
-    train_len_p99: usize,
-    batched_event_fraction: f64,
-}
-
-fn measure_telemetry(w: &Workload) -> Telemetry {
-    let (_, stats) = builder_for(w, Engine::Calendar, w.millis)
-        .run_instrumented()
-        .expect("bench runs stay under the watchdog");
-    Telemetry {
-        name: w.name,
-        trains: stats.trains,
-        train_len_mean: stats.mean(),
-        train_len_p50: stats.percentile(50.0),
-        train_len_p99: stats.percentile(99.0),
-        batched_event_fraction: stats.batched_fraction(),
-    }
-}
-
-fn engine_key(e: Engine) -> &'static str {
-    match e {
-        Engine::Calendar => "calendar",
-        Engine::ReferenceHeap => "reference_heap",
-    }
-}
-
-fn render_json(cases: &[Case], telemetry: &[Telemetry]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"lognic-perf-baseline/v1\",\n  \"results\": [\n");
+fn render_json(cases: &[Case]) -> String {
+    let mut out = String::from("{\n  \"schema\": \"lognic-perf-baseline/v2\",\n  \"results\": [\n");
     for (i, c) in cases.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"engine\": \"{}\", \"events\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.0}, \"allocs_per_event\": {:.6}}}{}\n",
+            "    {{\"name\": \"{}\", \"events\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.0}, \"allocs_per_event\": {:.6}}}{}\n",
             c.name,
-            engine_key(c.engine),
             c.events,
             c.wall_secs,
             c.events_per_sec,
@@ -518,51 +417,14 @@ fn render_json(cases: &[Case], telemetry: &[Telemetry]) -> String {
             if i + 1 < cases.len() { "," } else { "" },
         ));
     }
-    out.push_str("  ],\n  \"speedup\": {\n");
-    let names: Vec<&str> = {
-        let mut v: Vec<&str> = cases.iter().map(|c| c.name).collect();
-        v.dedup();
-        v
-    };
-    for (i, name) in names.iter().enumerate() {
-        let wheel = cases
-            .iter()
-            .find(|c| c.name == *name && c.engine == Engine::Calendar)
-            .expect("calendar case present");
-        let heap = cases
-            .iter()
-            .find(|c| c.name == *name && c.engine == Engine::ReferenceHeap)
-            .expect("heap case present");
-        out.push_str(&format!(
-            "    \"{}\": {:.3}{}\n",
-            name,
-            wheel.events_per_sec / heap.events_per_sec,
-            if i + 1 < names.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  },\n  \"batch_telemetry\": {\n");
-    // None of these keys may contain the substring "events_per_sec":
-    // `parse_baseline` keys its line scanner on it.
-    for (i, t) in telemetry.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\"trains\": {}, \"train_len_mean\": {:.4}, \"train_len_p50\": {}, \"train_len_p99\": {}, \"batched_event_fraction\": {:.4}}}{}\n",
-            t.name,
-            t.trains,
-            t.train_len_mean,
-            t.train_len_p50,
-            t.train_len_p99,
-            t.batched_event_fraction,
-            if i + 1 < telemetry.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  }\n}\n");
+    out.push_str("  ]\n}\n");
     out
 }
 
-/// Extracts `(name, engine, events_per_sec)` triples from a baseline
-/// file — each result record sits on its own line, so a line scanner
-/// is enough (no JSON dependency in a hermetic workspace).
-fn parse_baseline(text: &str) -> Vec<(String, String, f64)> {
+/// Extracts `(name, events_per_sec)` pairs from a baseline file —
+/// each result record sits on its own line, so a line scanner is
+/// enough (no JSON dependency in a hermetic workspace).
+fn parse_baseline(text: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     for line in text.lines() {
         if !line.contains("\"events_per_sec\"") {
@@ -575,13 +437,9 @@ fn parse_baseline(text: &str) -> Vec<(String, String, f64)> {
             let end = rest.find(['"', ',', '}'])?;
             Some(rest[..end].trim().to_owned())
         };
-        if let (Some(name), Some(engine), Some(eps)) = (
-            field("\"name\""),
-            field("\"engine\""),
-            field("\"events_per_sec\""),
-        ) {
+        if let (Some(name), Some(eps)) = (field("\"name\""), field("\"events_per_sec\"")) {
             if let Ok(v) = eps.parse::<f64>() {
-                out.push((name, engine, v));
+                out.push((name, v));
             }
         }
     }
@@ -601,64 +459,21 @@ fn main() {
         .map(String::as_str)
         .unwrap_or("BENCH_sim.json");
 
-    let mut cases = Vec::new();
-    let mut telemetry = Vec::new();
-    for w in workloads() {
-        for engine in [Engine::Calendar, Engine::ReferenceHeap] {
-            let c = measure(&w, engine);
-            println!(
-                "{:<16} {:<15} {:>10} events  {:>8.1} ms  {:>12.0} ev/s  {:.4} allocs/ev",
-                c.name,
-                engine_key(c.engine),
-                c.events,
-                c.wall_secs * 1e3,
-                c.events_per_sec,
-                c.allocs_per_event,
-            );
-            cases.push(c);
-        }
-        let t = measure_telemetry(&w);
+    let mut cases: Vec<Case> = workloads().iter().map(measure).collect();
+    cases.push(measure_hold());
+    // Fleet scaling rows: the aggregate event count is identical at
+    // every shard count (the determinism guarantee), so the rows
+    // isolate how wall time responds to sharding on this machine.
+    cases.extend(FLEET_SHARDS.map(measure_fleet));
+    for c in &cases {
         println!(
-            "{:<22} telemetry  {:>9} trains  mean {:>7.2}  p50 {:>5}  p99 {:>5}  batched {:.1}%",
-            t.name,
-            t.trains,
-            t.train_len_mean,
-            t.train_len_p50,
-            t.train_len_p99,
-            t.batched_event_fraction * 100.0,
-        );
-        telemetry.push(t);
-    }
-    for engine in [Engine::Calendar, Engine::ReferenceHeap] {
-        let c = measure_hold(engine);
-        println!(
-            "{:<16} {:<15} {:>10} events  {:>8.1} ms  {:>12.0} ev/s  {:.4} allocs/ev",
+            "{:<16} {:>10} events  {:>8.1} ms  {:>12.0} ev/s  {:.4} allocs/ev",
             c.name,
-            engine_key(c.engine),
             c.events,
             c.wall_secs * 1e3,
             c.events_per_sec,
             c.allocs_per_event,
         );
-        cases.push(c);
-    }
-    // Fleet scaling rows: the aggregate event count is identical at
-    // every shard count (the determinism guarantee), so the rows
-    // isolate how wall time responds to sharding on this machine.
-    for shards in FLEET_SHARDS {
-        for engine in [Engine::Calendar, Engine::ReferenceHeap] {
-            let c = measure_fleet(shards, engine);
-            println!(
-                "{:<16} {:<15} {:>10} events  {:>8.1} ms  {:>12.0} ev/s  {:.4} allocs/ev",
-                c.name,
-                engine_key(c.engine),
-                c.events,
-                c.wall_secs * 1e3,
-                c.events_per_sec,
-                c.allocs_per_event,
-            );
-            cases.push(c);
-        }
     }
 
     if check {
@@ -672,15 +487,8 @@ fn main() {
         let old = parse_baseline(&baseline);
         let mut failed = false;
         for c in &cases {
-            let Some((_, _, old_eps)) = old
-                .iter()
-                .find(|(n, e, _)| n == c.name && e == engine_key(c.engine))
-            else {
-                eprintln!(
-                    "perf-smoke: no baseline entry for {}/{}",
-                    c.name,
-                    engine_key(c.engine)
-                );
+            let Some((_, old_eps)) = old.iter().find(|(n, _)| n == c.name) else {
+                eprintln!("perf-smoke: no baseline entry for {}", c.name);
                 continue;
             };
             let floor = old_eps * 0.75;
@@ -691,12 +499,8 @@ fn main() {
                 "ok"
             };
             println!(
-                "check {:<16} {:<15} baseline {:>12.0} ev/s  now {:>12.0} ev/s  {}",
-                c.name,
-                engine_key(c.engine),
-                old_eps,
-                c.events_per_sec,
-                status,
+                "check {:<16} baseline {:>12.0} ev/s  now {:>12.0} ev/s  {}",
+                c.name, old_eps, c.events_per_sec, status,
             );
         }
         if failed {
@@ -707,7 +511,7 @@ fn main() {
         return;
     }
 
-    let json = render_json(&cases, &telemetry);
+    let json = render_json(&cases);
     std::fs::write(out_path, &json).expect("write baseline file");
     println!("wrote {out_path}");
 }

@@ -1,4 +1,5 @@
-//! A calendar-queue event scheduler: O(1) amortized insert and pop.
+//! A calendar-queue event scheduler: O(1) amortized insert, and pops
+//! that touch only the current day's handful of events.
 //!
 //! The classic discrete-event scheduler is a binary heap — O(log n)
 //! per operation with n in-flight events, and every sift moves whole
@@ -6,10 +7,10 @@
 //! structure of simulation time instead: events hash into an array of
 //! *day* buckets by `time >> shift` (a power-of-two bucket width), and
 //! the scheduler walks the calendar day by day, draining one day at a
-//! time. Insert is an append plus a min-update; pop is a linear
-//! min-scan over the current day's handful of events — with the bucket
-//! width tuned to a few events per day, the scan touches one or two
-//! cache lines and never pays a heap sift.
+//! time. Insert into a future day is an append plus a min-update; the
+//! day being drained is a small binary min-heap, so pop is O(log k)
+//! in the k events sharing that day — with the bucket width tuned to
+//! a few events per day, one or two cache lines.
 //!
 //! ## Storage
 //!
@@ -29,29 +30,19 @@
 //! the order a `BinaryHeap<Reverse<(time, seq)>>` produces — because:
 //!
 //! 1. every event of the active day is either moved into the active
-//!    list when the day opens or pushed into it directly (new events
+//!    heap when the day opens or pushed into it directly (new events
 //!    are never scheduled in the past, so a same-day insert always
 //!    lands in the active day *while it is active*), and
 //! 2. every event still in the wheel belongs to a strictly later day,
 //!    whose times are all strictly greater than any active-day time.
 //!
-//! The active list is popped by an explicit `(time, seq)` min-scan, so
-//! ties at equal times break by insertion sequence — the property the
-//! simulator's replay guarantees rely on. The differential property
-//! test in `tests/engine_differential.rs` checks byte-identical
-//! reports against the retained reference heap engine across
-//! randomized scenarios.
-//!
-//! ## Event trains
-//!
-//! [`CalendarQueue::pop_train`] drains *every* event sharing the
-//! earliest timestamp in one scoop: one min-scan over the active list
-//! finds the time, one sweep extracts the ties, and one sort restores
-//! seq order. Popping k same-time events one at a time costs k full
-//! min-scans (O(k·m) over an active list of m); the train scoop costs
-//! one scan plus O(k log k) — the difference is what makes bursty
-//! workloads (doorbell-coalesced DMA batches, synchronized tenant
-//! traffic) cheap to schedule.
+//! The active heap is ordered by the full `(time, seq)` key, so ties
+//! at equal times break by insertion sequence — the property the
+//! simulator's replay guarantees rely on — in O(log k) rather than a
+//! linear scan over the tied events. The differential suite in
+//! `tests/engine_differential.rs` checks the pop order against a
+//! `BinaryHeap` oracle on simulator-shaped streams, and byte-identical
+//! reports against the simulator's reference heap run.
 //!
 //! ## Overflow laps
 //!
@@ -126,7 +117,7 @@ pub struct CalendarQueue<P> {
     shift: u32,
     /// The day currently being drained.
     day: u64,
-    /// The active day's events, popped by `(time, seq)` min-scan.
+    /// The active day's events: a binary min-heap on `(time, seq)`.
     active: Vec<Entry<P>>,
     /// Entries resident in the wheel (excluding `active`).
     wheel_len: usize,
@@ -188,8 +179,8 @@ impl<P: Copy + Eq> CalendarQueue<P> {
             // Never scheduled in the past: a `day < self.day` event
             // would already have been due, and the simulator only
             // schedules at `now + delta`. Same-day events join the
-            // active list directly.
-            self.active.push(entry);
+            // active heap directly.
+            self.heap_push(entry);
             return;
         }
         let b = (day & self.mask) as usize;
@@ -217,17 +208,7 @@ impl<P: Copy + Eq> CalendarQueue<P> {
     /// Pops the earliest event by `(time, seq)`.
     pub fn pop(&mut self) -> Option<(u64, u64, P)> {
         loop {
-            if !self.active.is_empty() {
-                let mut best = 0;
-                let mut best_key = self.active[0].key();
-                for (i, e) in self.active.iter().enumerate().skip(1) {
-                    let k = e.key();
-                    if k < best_key {
-                        best = i;
-                        best_key = k;
-                    }
-                }
-                let e = self.active.swap_remove(best);
+            if let Some(e) = self.heap_pop() {
                 self.len -= 1;
                 return Some((e.time, e.seq, e.payload));
             }
@@ -238,43 +219,49 @@ impl<P: Copy + Eq> CalendarQueue<P> {
         }
     }
 
-    /// Drains *every* event scheduled at the earliest pending
-    /// timestamp into `out` as `(seq, payload)` pairs in ascending
-    /// `seq` order, returning that timestamp (`None` when the queue is
-    /// empty). Popping the same events one by one yields the identical
-    /// global `(time, seq)` order; the train scoop replaces k full
-    /// min-scans of the active list with one scan plus a sort of the
-    /// k ties. Events pushed while a train is being processed carry
-    /// later sequence numbers than every scooped event, so re-scooping
-    /// at the same timestamp preserves the total order.
-    pub fn pop_train(&mut self, out: &mut Vec<(u64, P)>) -> Option<u64> {
-        loop {
-            if !self.active.is_empty() {
-                let mut min_t = self.active[0].time;
-                for e in self.active.iter().skip(1) {
-                    if e.time < min_t {
-                        min_t = e.time;
-                    }
-                }
-                let start = out.len();
-                let mut i = 0;
-                while i < self.active.len() {
-                    if self.active[i].time == min_t {
-                        let e = self.active.swap_remove(i);
-                        out.push((e.seq, e.payload));
-                    } else {
-                        i += 1;
-                    }
-                }
-                self.len -= out.len() - start;
-                out[start..].sort_unstable_by_key(|&(seq, _)| seq);
-                return Some(min_t);
+    /// Adds `e` to the active heap (sift-up through a hole).
+    fn heap_push(&mut self, e: Entry<P>) {
+        let key = e.key();
+        let mut i = self.active.len();
+        self.active.push(e);
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.active[parent].key() < key {
+                break;
             }
-            if self.wheel_len == 0 {
-                return None;
-            }
-            self.advance();
+            self.active[i] = self.active[parent];
+            i = parent;
         }
+        self.active[i] = e;
+    }
+
+    /// Removes the active heap's `(time, seq)` minimum: the last entry
+    /// refills the root and sifts down through a hole.
+    fn heap_pop(&mut self) -> Option<Entry<P>> {
+        let last = self.active.pop()?;
+        let n = self.active.len();
+        if n == 0 {
+            return Some(last);
+        }
+        let top = self.active[0];
+        let key = last.key();
+        let mut i = 0;
+        loop {
+            let mut c = 2 * i + 1;
+            if c >= n {
+                break;
+            }
+            if c + 1 < n && self.active[c + 1].key() < self.active[c].key() {
+                c += 1;
+            }
+            if key < self.active[c].key() {
+                break;
+            }
+            self.active[i] = self.active[c];
+            i = c;
+        }
+        self.active[i] = last;
+        Some(top)
     }
 
     /// Moves `day` forward to the next day holding events and opens it
@@ -307,7 +294,7 @@ impl<P: Copy + Eq> CalendarQueue<P> {
     }
 
     /// Moves the entries of day `d` from its bucket chain into the
-    /// active list (their slots return to the free list) and
+    /// active heap (their slots return to the free list) and
     /// recomputes the bucket's cached minimum day.
     fn open_day(&mut self, d: u64) {
         self.day = d;
@@ -320,7 +307,7 @@ impl<P: Copy + Eq> CalendarQueue<P> {
             let next = self.slots[s].next;
             let entry_day = self.slots[s].entry.time >> self.shift;
             if entry_day == d {
-                self.active.push(self.slots[s].entry);
+                self.heap_push(self.slots[s].entry);
                 self.slots[s].next = self.free;
                 self.free = cur;
                 self.wheel_len -= 1;
@@ -472,79 +459,6 @@ mod tests {
         q.push(u64::MAX >> 1, 1, ());
         assert_eq!(q.pop(), Some((0, 0, ())));
         assert_eq!(q.pop(), Some((u64::MAX >> 1, 1, ())));
-    }
-
-    #[test]
-    fn pop_train_scoops_all_ties_in_seq_order() {
-        let mut q = CalendarQueue::new(10);
-        q.push(30, 0, 'd');
-        q.push(10, 3, 'c');
-        q.push(10, 1, 'a');
-        q.push(10, 2, 'b');
-        let mut train = Vec::new();
-        assert_eq!(q.pop_train(&mut train), Some(10));
-        assert_eq!(train, vec![(1, 'a'), (2, 'b'), (3, 'c')]);
-        train.clear();
-        assert_eq!(q.pop_train(&mut train), Some(30));
-        assert_eq!(train, vec![(0, 'd')]);
-        train.clear();
-        assert_eq!(q.pop_train(&mut train), None);
-        assert!(train.is_empty());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_train_matches_pop_sequence() {
-        // Train scoops must replay the exact (time, seq) pop order.
-        let mut seed = 0xD1B54A32D192ED03u64;
-        let mut rng = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        let mut a = CalendarQueue::new(50);
-        let mut b = CalendarQueue::new(50);
-        for s in 0..2_000u64 {
-            // Coarse times force heavy timestamp sharing.
-            let t = (rng() % 64) * 100;
-            a.push(t, s, s);
-            b.push(t, s, s);
-        }
-        let mut from_pop = Vec::new();
-        while let Some((t, s, p)) = a.pop() {
-            from_pop.push((t, s, p));
-        }
-        let mut from_trains = Vec::new();
-        let mut train = Vec::new();
-        while let Some(t) = b.pop_train(&mut train) {
-            for &(s, p) in &train {
-                from_trains.push((t, s, p));
-            }
-            train.clear();
-        }
-        assert_eq!(from_pop, from_trains);
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    fn pop_train_interleaved_with_pushes() {
-        let mut q = CalendarQueue::new(100);
-        q.push(100, 1, 'a');
-        q.push(100, 2, 'b');
-        let mut train = Vec::new();
-        assert_eq!(q.pop_train(&mut train), Some(100));
-        assert_eq!(train, vec![(1, 'a'), (2, 'b')]);
-        // Same-timestamp events pushed during train processing carry
-        // later seqs and form the next train at the same time.
-        q.push(100, 3, 'c');
-        q.push(150, 4, 'd');
-        train.clear();
-        assert_eq!(q.pop_train(&mut train), Some(100));
-        assert_eq!(train, vec![(3, 'c')]);
-        train.clear();
-        assert_eq!(q.pop_train(&mut train), Some(150));
-        assert_eq!(train, vec![(4, 'd')]);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use lognic_model::units::{Bandwidth, Bytes, Seconds};
 
 use crate::metrics::SimReport;
 use crate::rng::SimRng;
-use crate::sim::{BoundaryPacket, Engine, PacedRun, SimConfig, Simulation, Uplink};
+use crate::sim::{BoundaryPacket, PacedRun, SimConfig, Simulation, Uplink};
 use crate::time::SimTime;
 use crate::trace::NoopObserver;
 
@@ -139,24 +139,11 @@ impl FleetBuilder {
         self
     }
 
-    /// Selects the event-scheduler implementation. Fleet reports are
-    /// bit-identical across engines.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.config.engine = engine;
-        self
-    }
-
-    /// Enables or disables the batched train fast path. Fleet reports
-    /// are bit-identical either way.
-    pub fn batch(mut self, batch: bool) -> Self {
-        self.config.batch = batch;
-        self
-    }
-
     /// Sets the worker-shard count. NICs are assigned round-robin to
-    /// shards; the count is clamped to the NIC count at run time.
-    /// Reports are bit-identical at any shard count — this knob
-    /// trades wall-clock for cores, never results.
+    /// shards; the count is clamped to the NIC count at run time, and
+    /// a single shard runs on the calling thread. Reports are
+    /// bit-identical at any shard count — this knob trades wall-clock
+    /// for cores, never results.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -317,6 +304,107 @@ struct Shared {
     /// Serves as both the exchange barrier (after advance) and the
     /// decision barrier (after inject) of every round.
     barrier: Barrier,
+    /// The conservative lookahead window, in picoseconds.
+    lookahead_ps: u64,
+}
+
+/// One NIC's paced run inside a shard.
+struct NicRun {
+    index: usize,
+    run: PacedRun,
+    err: Option<LogNicError>,
+    /// This NIC's inbound packets of the current round. Swapped with
+    /// the shared mailbox each round, so both vectors keep their
+    /// capacity instead of being reallocated.
+    inbox: Vec<BoundaryPacket>,
+}
+
+/// Drives one shard's NICs through the round protocol until every
+/// shard agrees to stop; returns each NIC's outcome and the number of
+/// rounds taken.
+fn run_shard(
+    part: Vec<(usize, Simulation)>,
+    shared: &Shared,
+    reference_heap: bool,
+) -> (Vec<(usize, NicOutcome)>, u64) {
+    let mut obs = NoopObserver;
+    let mut nics: Vec<NicRun> = part
+        .into_iter()
+        .map(|(index, sim)| NicRun {
+            index,
+            run: PacedRun::start(sim, &mut obs, reference_heap),
+            err: None,
+            inbox: Vec::new(),
+        })
+        .collect();
+    let mut round: u64 = 0;
+    loop {
+        let p = (round % 2) as usize;
+        // Safe to reset: every reader of flags[1-p] finished at round
+        // r-1's closing barrier.
+        shared.flags[1 - p].store(false, Ordering::SeqCst);
+        let limit = round.saturating_add(1).saturating_mul(shared.lookahead_ps);
+        let mut activity = false;
+        for nic in nics.iter_mut().filter(|nic| nic.err.is_none()) {
+            match nic.run.advance(limit, &mut obs) {
+                Ok(more) => activity |= more,
+                Err(e) => {
+                    nic.err = Some(e);
+                    shared.failed.store(true, Ordering::SeqCst);
+                    continue;
+                }
+            }
+            let out = nic.run.drain_outbox();
+            activity |= out.len() > 0;
+            for bp in out {
+                shared.mailboxes[bp.dst_nic as usize]
+                    .lock()
+                    .expect("no poisoned shards")
+                    .push(bp);
+            }
+        }
+        if activity {
+            shared.flags[p].store(true, Ordering::SeqCst);
+        }
+        shared.barrier.wait();
+        for nic in nics.iter_mut().filter(|nic| nic.err.is_none()) {
+            std::mem::swap(
+                &mut *shared.mailboxes[nic.index]
+                    .lock()
+                    .expect("no poisoned shards"),
+                &mut nic.inbox,
+            );
+            nic.inbox
+                .sort_unstable_by_key(|b| (b.arrive_ps, b.src_nic, b.emit_seq));
+            for bp in &nic.inbox {
+                nic.run.inject_boundary(bp);
+            }
+            nic.inbox.clear();
+        }
+        let stop = !shared.flags[p].load(Ordering::SeqCst) || shared.failed.load(Ordering::SeqCst);
+        shared.barrier.wait();
+        round += 1;
+        if stop {
+            break;
+        }
+    }
+    let outcomes = nics
+        .into_iter()
+        .map(|nic| {
+            let outcome = match nic.err {
+                Some(e) => Err(e),
+                None => {
+                    let uplinks = nic.run.uplinks().to_vec();
+                    let received = nic.run.received();
+                    let emitted = nic.run.emitted();
+                    let report = nic.run.finish(&mut obs);
+                    Ok((report, uplinks, received, emitted))
+                }
+            };
+            (nic.index, outcome)
+        })
+        .collect();
+    (outcomes, round)
 }
 
 impl FleetSim {
@@ -341,9 +429,24 @@ impl FleetSim {
     /// *lowest-indexed* failing NIC propagates — a deterministic
     /// choice, not a race between shards.
     pub fn run(self) -> LogNicResult<FleetReport> {
+        self.run_on(false)
+    }
+
+    /// Runs the fleet with every NIC on the `BinaryHeap` scheduler
+    /// oracle ([`Simulation::run_reference_heap`]); the report must
+    /// match [`FleetSim::run`] byte for byte.
+    ///
+    /// # Errors
+    ///
+    /// As [`FleetSim::run`].
+    #[doc(hidden)]
+    pub fn run_reference_heap(self) -> LogNicResult<FleetReport> {
+        self.run_on(true)
+    }
+
+    fn run_on(self, reference_heap: bool) -> LogNicResult<FleetReport> {
         let n = self.sims.len();
         let shards = self.shards.min(n).max(1);
-        let lookahead = self.lookahead_ps;
 
         // Round-robin NIC -> shard assignment; each shard owns its
         // NICs' paced runs for the whole run.
@@ -357,106 +460,44 @@ impl FleetSim {
             flags: [AtomicBool::new(false), AtomicBool::new(false)],
             failed: AtomicBool::new(false),
             barrier: Barrier::new(shards),
+            lookahead_ps: self.lookahead_ps,
         };
-        let slots: Mutex<Vec<Option<NicOutcome>>> = Mutex::new((0..n).map(|_| None).collect());
-        let rounds = Mutex::new(0u64);
+        let shard_results: Vec<(Vec<(usize, NicOutcome)>, u64)> = if shards == 1 {
+            // One shard: run the rounds on the calling thread.
+            parts
+                .into_iter()
+                .map(|part| run_shard(part, &shared, reference_heap))
+                .collect()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = parts
+                    .into_iter()
+                    .map(|part| {
+                        let shared = &shared;
+                        scope.spawn(move || run_shard(part, shared, reference_heap))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("no panicked shards"))
+                    .collect()
+            })
+        };
 
-        std::thread::scope(|scope| {
-            for part in parts {
-                let shared = &shared;
-                let slots = &slots;
-                let rounds = &rounds;
-                scope.spawn(move || {
-                    let mut obs = NoopObserver;
-                    let mut runs: Vec<(usize, PacedRun, Option<LogNicError>)> = part
-                        .into_iter()
-                        .map(|(i, sim)| (i, PacedRun::start(sim, &mut obs), None))
-                        .collect();
-                    let mut round: u64 = 0;
-                    loop {
-                        let p = (round % 2) as usize;
-                        // Safe to reset: every reader of flags[1-p]
-                        // finished at round r-1's closing barrier.
-                        shared.flags[1 - p].store(false, Ordering::SeqCst);
-                        let limit = round.saturating_add(1).saturating_mul(lookahead);
-                        let mut activity = false;
-                        for (_, run, err) in runs.iter_mut() {
-                            if err.is_some() {
-                                continue;
-                            }
-                            match run.advance(limit, &mut obs) {
-                                Ok(more) => activity |= more,
-                                Err(e) => {
-                                    *err = Some(e);
-                                    shared.failed.store(true, Ordering::SeqCst);
-                                    continue;
-                                }
-                            }
-                            let out = run.take_outbox();
-                            if !out.is_empty() {
-                                activity = true;
-                            }
-                            for bp in out {
-                                shared.mailboxes[bp.dst_nic as usize]
-                                    .lock()
-                                    .expect("no poisoned shards")
-                                    .push(bp);
-                            }
-                        }
-                        if activity {
-                            shared.flags[p].store(true, Ordering::SeqCst);
-                        }
-                        shared.barrier.wait();
-                        for (idx, run, err) in runs.iter_mut() {
-                            if err.is_some() {
-                                continue;
-                            }
-                            let mut pkts = std::mem::take(
-                                &mut *shared.mailboxes[*idx].lock().expect("no poisoned shards"),
-                            );
-                            pkts.sort_unstable_by_key(|b| (b.arrive_ps, b.src_nic, b.emit_seq));
-                            for bp in &pkts {
-                                run.inject_boundary(bp);
-                            }
-                        }
-                        let stop = !shared.flags[p].load(Ordering::SeqCst)
-                            || shared.failed.load(Ordering::SeqCst);
-                        shared.barrier.wait();
-                        round += 1;
-                        if stop {
-                            break;
-                        }
-                    }
-                    let mut slots = slots.lock().expect("no poisoned shards");
-                    for (idx, run, err) in runs {
-                        slots[idx] = Some(match err {
-                            Some(e) => Err(e),
-                            None => {
-                                let uplinks = run.uplinks().to_vec();
-                                let received = run.received();
-                                let emitted = run.emitted();
-                                let (report, _stats) = run.finish(&mut obs);
-                                Ok((report, uplinks, received, emitted))
-                            }
-                        });
-                    }
-                    *rounds.lock().expect("no poisoned shards") = round;
-                });
+        // Every shard stops at the same round.
+        let mut rounds = 0;
+        let mut slots: Vec<Option<NicOutcome>> = (0..n).map(|_| None).collect();
+        for (outcomes, shard_rounds) in shard_results {
+            rounds = shard_rounds;
+            for (i, outcome) in outcomes {
+                slots[i] = Some(outcome);
             }
-        });
-
-        let outcomes: Vec<NicOutcome> = slots
-            .into_inner()
-            .expect("scope joined all shards")
-            .into_iter()
-            .map(|o| o.expect("every NIC index was claimed exactly once"))
-            .collect();
-        let rounds = rounds.into_inner().expect("scope joined all shards");
+        }
 
         // Deterministic error choice: the lowest-indexed failing NIC.
         let mut nics = Vec::with_capacity(n);
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
+        for (i, slot) in slots.into_iter().enumerate() {
+            match slot.expect("every NIC index was claimed exactly once") {
                 Err(e) => return Err(e),
                 Ok((report, uplinks, received, emitted)) => {
                     nics.push((

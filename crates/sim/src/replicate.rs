@@ -8,7 +8,9 @@
 //! into mean / standard deviation / 95 % confidence interval across
 //! seeds. Model-vs-sim validation then asserts the analytical estimate
 //! falls *inside the interval* — a statistically sound claim that
-//! tightens automatically as N grows.
+//! tightens automatically as N grows. A single worker runs the seeds
+//! on the calling thread: spawning one scoped thread costs tens to
+//! hundreds of microseconds, which dominates short replicated runs.
 //!
 //! Determinism: each replica is fully determined by its seed, and the
 //! aggregation folds results in seed order regardless of which worker
@@ -101,7 +103,8 @@ impl Replication {
     }
 
     /// Caps the worker-thread count (default: available parallelism,
-    /// never more than the seed count).
+    /// never more than the seed count). With one worker every replica
+    /// runs on the calling thread.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -124,7 +127,43 @@ impl Replication {
         requested.clamp(1, self.seeds.len())
     }
 
-    /// Runs `run_one` once per seed across scoped worker threads and
+    /// Runs `run_one` once per seed and returns the results in seed
+    /// order: inline on the calling thread with one worker, otherwise
+    /// across scoped worker threads claiming seeds from a shared
+    /// counter.
+    fn map_seeds<T, F>(&self, run_one: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(u64) -> T + Sync,
+    {
+        let workers = self.worker_count();
+        if workers == 1 {
+            return self.seeds.iter().map(|&seed| run_one(seed)).collect();
+        }
+        let slots: Mutex<Vec<Option<T>>> =
+            Mutex::new((0..self.seeds.len()).map(|_| None).collect());
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&seed) = self.seeds.get(i) else {
+                        break;
+                    };
+                    let result = run_one(seed);
+                    slots.lock().expect("no poisoned workers")[i] = Some(result);
+                });
+            }
+        });
+        slots
+            .into_inner()
+            .expect("scope joined all workers")
+            .into_iter()
+            .map(|r| r.expect("every seed index was claimed exactly once"))
+            .collect()
+    }
+
+    /// Runs `run_one` once per seed (see [`Replication::threads`]) and
     /// aggregates the reports in seed order.
     ///
     /// `run_one` must be a pure function of the seed for the
@@ -133,28 +172,7 @@ impl Replication {
     where
         F: Fn(u64) -> SimReport + Sync,
     {
-        let slots: Mutex<Vec<Option<SimReport>>> = Mutex::new(vec![None; self.seeds.len()]);
-        let next = AtomicUsize::new(0);
-        let workers = self.worker_count();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&seed) = self.seeds.get(i) else {
-                        break;
-                    };
-                    let report = run_one(seed);
-                    slots.lock().expect("no poisoned workers")[i] = Some(report);
-                });
-            }
-        });
-        let reports: Vec<SimReport> = slots
-            .into_inner()
-            .expect("scope joined all workers")
-            .into_iter()
-            .map(|r| r.expect("every seed index was claimed exactly once"))
-            .collect();
-        ReplicatedReport::aggregate(self.seeds.clone(), reports)
+        ReplicatedReport::aggregate(self.seeds.clone(), self.map_seeds(run_one))
     }
 
     /// Like [`Replication::run`] for fallible replicas: runs every
@@ -174,28 +192,7 @@ impl Replication {
     where
         F: Fn(u64) -> LogNicResult<SimReport> + Sync,
     {
-        let slots: Mutex<Vec<Option<LogNicResult<SimReport>>>> =
-            Mutex::new((0..self.seeds.len()).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        let workers = self.worker_count();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&seed) = self.seeds.get(i) else {
-                        break;
-                    };
-                    let report = run_one(seed);
-                    slots.lock().expect("no poisoned workers")[i] = Some(report);
-                });
-            }
-        });
-        let outcomes: Vec<LogNicResult<SimReport>> = slots
-            .into_inner()
-            .expect("scope joined all workers")
-            .into_iter()
-            .map(|r| r.expect("every seed index was claimed exactly once"))
-            .collect();
+        let outcomes = self.map_seeds(run_one);
         if outcomes.iter().all(|r| r.is_ok()) {
             let reports = outcomes
                 .into_iter()
@@ -300,32 +297,19 @@ impl Replication {
         let compiled = plan
             .map(|p| CompiledFaultPlan::compile(p, graph))
             .transpose()?;
-        type Slots<O> = Mutex<Vec<Option<LogNicResult<(SimReport, O)>>>>;
-        let slots: Slots<O> = Mutex::new((0..self.seeds.len()).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        let workers = self.worker_count();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&seed) = self.seeds.get(i) else {
-                        break;
-                    };
-                    let mut obs = make_observer(seed);
-                    let mut builder = Simulation::builder(graph, hw, traffic)
-                        .config(SimConfig { seed, ..config });
-                    if let Some(c) = compiled.as_ref() {
-                        builder = builder.with_compiled_faults(c);
-                    }
-                    let result = builder.run_with(&mut obs).map(|report| (report, obs));
-                    slots.lock().expect("no poisoned workers")[i] = Some(result);
-                });
+        let outcomes = self.map_seeds(|seed| {
+            let mut obs = make_observer(seed);
+            let mut builder =
+                Simulation::builder(graph, hw, traffic).config(SimConfig { seed, ..config });
+            if let Some(c) = compiled.as_ref() {
+                builder = builder.with_compiled_faults(c);
             }
+            builder.run_with(&mut obs).map(|report| (report, obs))
         });
         let mut reports = Vec::with_capacity(self.seeds.len());
         let mut observers = Vec::with_capacity(self.seeds.len());
-        for slot in slots.into_inner().expect("scope joined all workers") {
-            let (report, obs) = slot.expect("every seed index was claimed exactly once")?;
+        for outcome in outcomes {
+            let (report, obs) = outcome?;
             reports.push(report);
             observers.push(obs);
         }

@@ -43,8 +43,9 @@ impl SimRng {
     /// [`pick_cumulative`](Self::pick_cumulative),
     /// [`pick_weighted`](Self::pick_weighted)) funnels through
     /// [`uniform`](Self::uniform), so this single counter audits the
-    /// whole stream — the sanitizer compares it across scalar and
-    /// batched runs, which must draw identically.
+    /// whole stream — the sanitizer suite compares it between the
+    /// calendar queue and the reference heap, which must draw
+    /// identically.
     pub fn draws(&self) -> u64 {
         self.draws
     }

@@ -11,9 +11,10 @@
 //!    analyzer flags are **skipped** (out of domain — the harness
 //!    generates replacements), because the pipeline's contract is
 //!    only claimed for analyzer-clean inputs.
-//! 2. Simulate on **both** scheduler engines with the same seed. Both
-//!    must terminate without a watchdog abort and produce
-//!    byte-identical reports (`==` and the rendered `Debug` string).
+//! 2. Simulate on the calendar queue and on the `BinaryHeap` oracle
+//!    (`Simulation::run_reference_heap`) with the same seed. Both must
+//!    terminate without a watchdog abort and produce byte-identical
+//!    reports (`==` and the rendered `Debug` string).
 //! 3. Replicate the run across 5 seeds and require the analytical
 //!    model's delivered throughput to land inside the replicated 95 %
 //!    confidence interval (±3 % slack for finite-horizon noise) — the
@@ -32,12 +33,16 @@
 
 use crate::scenario::Scenario;
 use lognic_model::analyze::AnalysisConfig;
+use lognic_model::error::LogNicResult;
 use lognic_model::graph::ExecutionGraph;
 use lognic_model::params::{EdgeParams, HardwareModel, IpParams, PacketSizeDist, TrafficProfile};
 use lognic_model::throughput::estimate_throughput;
 use lognic_model::units::{Bandwidth, Bytes, Seconds};
+use lognic_sim::metrics::SimReport;
 use lognic_sim::replicate::Replication;
-use lognic_sim::sim::{Engine, SimConfig, Simulation};
+use lognic_sim::sanitize::{Sanitizer, SanitizerReport};
+use lognic_sim::sim::{SimConfig, Simulation};
+use lognic_sim::trace::NoopObserver;
 use lognic_testkit::fuzz::FuzzOutcome;
 use lognic_testkit::Gen;
 
@@ -297,12 +302,11 @@ impl ScenarioSpec {
 /// The differential fuzz config: short horizons keep a 32-scenario
 /// budget inside a CI smoke job while leaving enough packets per run
 /// for stable replication statistics.
-pub fn fuzz_config(seed: u64, engine: Engine) -> SimConfig {
+pub fn fuzz_config(seed: u64) -> SimConfig {
     SimConfig {
         seed,
         duration: Seconds::millis(3.0),
         warmup: Seconds::millis(1.0),
-        engine,
         ..SimConfig::default()
     }
 }
@@ -327,39 +331,25 @@ pub fn differential_check(spec: &ScenarioSpec) -> FuzzOutcome {
         return FuzzOutcome::Skip(format!("analyzer flagged: {}", codes.join(",")));
     }
 
-    // Invariant 1+2: both engines terminate (no watchdog abort) and
-    // report byte-identically — and the batched train loop (the
-    // default) matches scalar one-event dispatch bit-for-bit.
-    let run = |engine, batch| {
+    // Invariant 1+2: the calendar queue and the heap oracle both
+    // terminate (no watchdog abort) and report byte-identically.
+    let build = || {
         Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
-            .config(SimConfig {
-                batch,
-                ..fuzz_config(spec.seed, engine)
-            })
-            .run()
+            .config(fuzz_config(spec.seed))
+            .build()
     };
-    let wheel = match run(Engine::Calendar, true) {
+    let wheel = match build().and_then(Simulation::run) {
         Ok(r) => r,
         Err(e) => return FuzzOutcome::Fail(format!("calendar engine failed: {e}")),
     };
-    let heap = match run(Engine::ReferenceHeap, true) {
+    let heap = match build().and_then(|sim| sim.run_reference_heap(&mut NoopObserver)) {
         Ok(r) => r,
         Err(e) => return FuzzOutcome::Fail(format!("reference-heap engine failed: {e}")),
-    };
-    let scalar = match run(Engine::Calendar, false) {
-        Ok(r) => r,
-        Err(e) => return FuzzOutcome::Fail(format!("scalar dispatch failed: {e}")),
     };
     if wheel != heap || format!("{wheel:?}") != format!("{heap:?}") {
         return FuzzOutcome::Fail(format!(
             "engines diverged: calendar {:?} vs heap {:?}",
             wheel, heap
-        ));
-    }
-    if wheel != scalar || format!("{wheel:?}") != format!("{scalar:?}") {
-        return FuzzOutcome::Fail(format!(
-            "batch diverged from scalar: batched {:?} vs scalar {:?}",
-            wheel, scalar
         ));
     }
     if wheel.completed == 0 {
@@ -378,7 +368,7 @@ pub fn differential_check(spec: &ScenarioSpec) -> FuzzOutcome {
         &scenario.graph,
         &scenario.hardware,
         &scenario.traffic,
-        fuzz_config(spec.seed, Engine::Calendar),
+        fuzz_config(spec.seed),
     ) {
         Ok(r) => r,
         Err(e) => return FuzzOutcome::Fail(format!("replication failed: {e}")),
@@ -397,9 +387,9 @@ pub fn differential_check(spec: &ScenarioSpec) -> FuzzOutcome {
 }
 
 /// The sanitized differential oracle — `differential_check`'s engine
-/// byte-identity invariant, upgraded with the runtime sanitizer: all
-/// four {calendar, reference-heap} × {batched, scalar} combinations
-/// run under [`Simulation::run_sanitized`], must hold every engine
+/// byte-identity invariant, upgraded with the runtime sanitizer: the
+/// calendar queue ([`Simulation::run_sanitized`]) and the reference
+/// heap ([`run_reference_heap_sanitized`]) must both hold every engine
 /// invariant (conservation ledger, credit balance, occupancy
 /// cross-checks, arena leaks, monotonicity), and must agree
 /// byte-for-byte on the measurement report *and* on the audited RNG
@@ -421,25 +411,21 @@ pub fn sanitized_differential_check(spec: &ScenarioSpec) -> FuzzOutcome {
         return FuzzOutcome::Skip(format!("analyzer flagged: {}", codes.join(",")));
     }
 
-    let combos = [
-        (Engine::Calendar, true, "calendar/batched"),
-        (Engine::Calendar, false, "calendar/scalar"),
-        (Engine::ReferenceHeap, true, "heap/batched"),
-        (Engine::ReferenceHeap, false, "heap/scalar"),
-    ];
-    let mut runs = Vec::with_capacity(combos.len());
-    for (engine, batch, label) in combos {
+    let mut runs = Vec::with_capacity(2);
+    for (label, heap) in [("calendar", false), ("heap", true)] {
         let built = Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
-            .config(SimConfig {
-                batch,
-                ..fuzz_config(spec.seed, engine)
-            })
+            .config(fuzz_config(spec.seed))
             .build();
         let sim = match built {
             Ok(s) => s,
             Err(e) => return FuzzOutcome::Fail(format!("{label} failed to build: {e}")),
         };
-        match sim.run_sanitized() {
+        let run = if heap {
+            run_reference_heap_sanitized(sim)
+        } else {
+            sim.run_sanitized()
+        };
+        match run {
             Ok((report, audit)) => runs.push((label, report, audit)),
             Err(e) => return FuzzOutcome::Fail(format!("{label} sanitizer/run failure: {e}")),
         }
@@ -463,6 +449,21 @@ pub fn sanitized_differential_check(spec: &ScenarioSpec) -> FuzzOutcome {
         }
     }
     FuzzOutcome::Pass
+}
+
+/// [`Simulation::run_sanitized`] on the `BinaryHeap` scheduler oracle:
+/// the same sanitizer account, so a differential harness can compare
+/// the two schedulers' audits field for field.
+///
+/// # Errors
+///
+/// As [`Simulation::run_sanitized`].
+pub fn run_reference_heap_sanitized(sim: Simulation) -> LogNicResult<(SimReport, SanitizerReport)> {
+    let mut sanitizer = Sanitizer::new();
+    let report = sim.run_reference_heap(&mut sanitizer)?;
+    let audit = sanitizer.finish();
+    audit.check()?;
+    Ok((report, audit))
 }
 
 #[cfg(test)]

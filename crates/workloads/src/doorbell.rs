@@ -5,8 +5,9 @@
 //! in one go (the NVMe-oF target of §4.3), or a multi-tenant
 //! consolidation point receives a line-rate burst from a switch port.
 //! In the discrete-event simulator those bursts materialize as many
-//! arrivals sharing one timestamp — exactly the *event trains* the
-//! batched fast path (`lognic_sim::batch`) accelerates.
+//! arrivals sharing one timestamp: dozens of events tied on time,
+//! which the calendar queue's active-day heap must break by sequence
+//! number without a linear scan.
 //!
 //! This module builds a deterministic burst trace plus a matching
 //! scenario: `rings × depth` packets, each ring's packets at an
@@ -14,8 +15,8 @@
 //! graph's edges move no interface/memory bytes (the descriptors are
 //! already on the NIC when the doorbell rings), so the same-timestamp
 //! cascade survives to the compute stage instead of being serialized
-//! by the media model. The perf baseline runs it twice — batched and
-//! scalar — and the differential suite holds the two byte-identical.
+//! by the media model. The perf baseline times it, and the tests hold
+//! the calendar queue byte-identical to the reference heap on it.
 
 use crate::scenario::Scenario;
 use lognic_model::graph::ExecutionGraph;
@@ -115,7 +116,8 @@ pub fn doorbell_burst(plan: &BurstPlan) -> (Scenario, Trace) {
 mod tests {
     use super::*;
     use lognic_model::units::Seconds;
-    use lognic_sim::sim::{Engine, SimConfig, Simulation};
+    use lognic_sim::sim::{SimConfig, Simulation};
+    use lognic_sim::trace::NoopObserver;
 
     fn small() -> BurstPlan {
         BurstPlan {
@@ -137,34 +139,25 @@ mod tests {
     }
 
     #[test]
-    fn bursts_flow_through_batched_and_scalar_paths_identically() {
+    fn bursts_match_the_reference_heap() {
         let plan = small();
         let (scenario, trace) = doorbell_burst(&plan);
-        let run = |batch: bool| {
+        let build = || {
             Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
                 .with_trace(trace.clone())
                 .config(SimConfig {
-                    batch,
                     duration: Seconds::millis(2.0),
                     warmup: Seconds::ZERO,
-                    engine: Engine::Calendar,
                     ..SimConfig::default()
                 })
                 .build()
                 .expect("valid scenario")
-                .run_instrumented()
-                .expect("run completes")
         };
-        let (batched, stats) = run(true);
-        let (scalar, _) = run(false);
-        assert_eq!(batched, scalar);
-        assert_eq!(batched.injected, plan.packets());
-        assert!(
-            stats.batched_events as f64 > 0.5 * plan.packets() as f64,
-            "batched {} of {} packets",
-            stats.batched_events,
-            plan.packets()
-        );
-        assert!(stats.percentile(99.0) >= 32);
+        let wheel = build().run().expect("run completes");
+        let heap = build()
+            .run_reference_heap(&mut NoopObserver)
+            .expect("run completes");
+        assert_eq!(wheel, heap);
+        assert_eq!(wheel.injected, plan.packets());
     }
 }

@@ -70,12 +70,11 @@ fn small_brownout() -> lognic::workloads::chaos::ChaosScenario {
     )
 }
 
-fn small_config(seed: u64, engine: Engine) -> SimConfig {
+fn small_config(seed: u64) -> SimConfig {
     SimConfig {
         seed,
         duration: Seconds::micros(600.0),
         warmup: Seconds::ZERO,
-        engine,
         ..SimConfig::default()
     }
 }
@@ -90,23 +89,30 @@ fn captured_chaos_trace() -> (PacketTrace, SimReport) {
         TimeSeriesSampler::new(Seconds::micros(25.0)),
     );
     let report = chaos
-        .simulate_with(small_config(7, Engine::Calendar), &mut obs)
+        .simulate_with(small_config(7), &mut obs)
         .expect("chaos capture run");
     let trace = obs.0.into_trace().expect("engine arrivals always validate");
     (trace, report)
 }
 
 /// Replays a captured trace through the chaos scenario (same graph,
-/// hardware, fault plan and seed) and returns the report.
-fn replay(trace: &PacketTrace, engine: Engine) -> SimReport {
+/// hardware, fault plan and seed) on the calendar queue or on the
+/// binary-heap scheduler oracle, and returns the report.
+fn replay(trace: &PacketTrace, reference_heap: bool) -> SimReport {
     let chaos = small_brownout();
     let s = &chaos.scenario;
-    Simulation::builder(&s.graph, &s.hardware, &s.traffic)
-        .config(small_config(7, engine))
+    let sim = Simulation::builder(&s.graph, &s.hardware, &s.traffic)
+        .config(small_config(7))
         .with_fault_plan(chaos.plan.clone())
         .with_trace(trace.to_sim_trace())
-        .run()
-        .expect("replayed trace simulates")
+        .build()
+        .expect("replayed trace builds");
+    if reference_heap {
+        sim.run_reference_heap(&mut NoopObserver)
+    } else {
+        sim.run()
+    }
+    .expect("replayed trace simulates")
 }
 
 /// The tentpole round trip: capture → binary/CSV framing → re-ingest
@@ -139,8 +145,8 @@ fn captured_arrivals_round_trip_to_golden_report() {
     assert_golden("chaos.arrivals.csv", &csv);
 
     // Re-ingest and replay: deterministic, engine-independent, pinned.
-    let wheel = replay(&trace, Engine::Calendar);
-    let heap = replay(&trace, Engine::ReferenceHeap);
+    let wheel = replay(&trace, false);
+    let heap = replay(&trace, true);
     assert_eq!(wheel, heap, "trace replay diverged across engines");
     assert_eq!(format!("{wheel:?}"), format!("{heap:?}"));
     assert_eq!(
@@ -148,7 +154,7 @@ fn captured_arrivals_round_trip_to_golden_report() {
         trace.len() as u64,
         "replay must inject exactly the recorded arrivals"
     );
-    let again = replay(&trace, Engine::Calendar);
+    let again = replay(&trace, false);
     assert_eq!(
         format!("{wheel:?}"),
         format!("{again:?}"),
@@ -166,7 +172,7 @@ fn chrome_export_reingests_losslessly() {
     let chaos = small_brownout();
     let mut obs = (ArrivalRecorder::new(), ChromeTrace::new());
     chaos
-        .simulate_with(small_config(7, Engine::Calendar), &mut obs)
+        .simulate_with(small_config(7), &mut obs)
         .expect("chaos capture run");
     let (recorder, chrome) = obs;
     assert_eq!(chrome.truncated(), 0, "fixture must not truncate");
@@ -179,7 +185,7 @@ fn chrome_export_reingests_losslessly() {
     );
 
     // The chrome-derived trace replays to the same pinned report.
-    let report = replay(&recovered, Engine::Calendar);
+    let report = replay(&recovered, false);
     assert_golden("chaos.replay.report.txt", &format!("{report:#?}\n"));
 }
 
@@ -215,7 +221,7 @@ fn empty_trace_is_valid_and_simulates_silently() {
     let chaos = small_brownout();
     let s = &chaos.scenario;
     let report = Simulation::builder(&s.graph, &s.hardware, &s.traffic)
-        .config(small_config(7, Engine::Calendar))
+        .config(small_config(7))
         .with_trace(empty.to_sim_trace())
         .run()
         .expect("empty trace simulates");
@@ -235,7 +241,7 @@ fn single_record_trace_replays_one_packet() {
     let chaos = small_brownout();
     let s = &chaos.scenario;
     let report = Simulation::builder(&s.graph, &s.hardware, &s.traffic)
-        .config(small_config(7, Engine::Calendar))
+        .config(small_config(7))
         .with_trace(one.to_sim_trace())
         .run()
         .expect("single-record trace simulates");

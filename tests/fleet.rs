@@ -3,8 +3,8 @@
 //! The fleet event loop's headline guarantee is that sharding is
 //! *invisible*: for a given topology, configuration and seed, the
 //! aggregate [`FleetReport`] is byte-identical at any shard count,
-//! under either scheduler engine, with or without the batched train
-//! fast path. These tests pin that guarantee the same way the
+//! and on the calendar queue and the binary-heap scheduler oracle
+//! alike (`FleetSim::run_reference_heap`). These tests pin that guarantee the same way the
 //! engine-differential suite pins single-NIC determinism: by
 //! comparing the `Debug` rendering of whole reports, so any drifting
 //! float or counter anywhere in the report fails loudly.
@@ -16,39 +16,34 @@
 
 use lognic::prelude::*;
 
-/// Every (engine, batch) combination; index 0 is the default.
-const COMBOS: [(Engine, bool); 4] = [
-    (Engine::Calendar, true),
-    (Engine::Calendar, false),
-    (Engine::ReferenceHeap, true),
-    (Engine::ReferenceHeap, false),
-];
-
-fn run_rack(nics: usize, shards: usize, engine: Engine, batch: bool) -> FleetReport {
-    rack::smoke_fleet(nics, shards)
-        .engine(engine)
-        .batch(batch)
+fn run_rack(nics: usize, shards: usize, reference_heap: bool) -> FleetReport {
+    let fleet = rack::smoke_fleet(nics, shards)
         .build()
-        .expect("rack builds")
-        .run()
-        .expect("rack runs")
+        .expect("rack builds");
+    if reference_heap {
+        fleet.run_reference_heap()
+    } else {
+        fleet.run()
+    }
+    .expect("rack runs")
 }
 
 #[test]
-fn fleet_reports_are_bit_identical_across_shard_counts_engines_and_batching() {
-    // A 6-NIC rack keeps the full 3 x 2 x 2 matrix affordable while
-    // still crossing shard boundaries (6 NICs over 8 shards clamps,
-    // over 2 shards interleaves producers and consumers).
-    let reference = format!("{:?}", run_rack(6, 1, Engine::Calendar, true));
+fn fleet_reports_are_bit_identical_across_shard_counts_and_engines() {
+    // A 6-NIC rack keeps the 3 x 2 matrix affordable while still
+    // crossing shard boundaries (6 NICs over 8 shards clamps, over 2
+    // shards interleaves producers and consumers; 1 shard runs on the
+    // calling thread).
+    let reference = format!("{:?}", run_rack(6, 1, false));
     for shards in [1usize, 2, 8] {
-        for (engine, batch) in COMBOS {
-            if shards == 1 && engine == Engine::Calendar && batch {
+        for reference_heap in [false, true] {
+            if shards == 1 && !reference_heap {
                 continue; // the reference itself
             }
-            let got = format!("{:?}", run_rack(6, shards, engine, batch));
+            let got = format!("{:?}", run_rack(6, shards, reference_heap));
             assert_eq!(
                 got, reference,
-                "FleetReport diverged at shards={shards} engine={engine:?} batch={batch}"
+                "FleetReport diverged at shards={shards} reference_heap={reference_heap}"
             );
         }
     }
@@ -58,11 +53,11 @@ fn fleet_reports_are_bit_identical_across_shard_counts_engines_and_batching() {
 fn rack32_is_bit_identical_at_1_and_8_shards() {
     // The acceptance-criterion rack: >= 32 NICs, byte-compared at the
     // shard-count extremes under the production engine.
-    let one = run_rack(32, 1, Engine::Calendar, true);
+    let one = run_rack(32, 1, false);
     assert!(one.completed > 0, "rack must complete packets");
     assert!(one.forwarded > 0, "ring links must carry traffic");
     assert_eq!(one.nics.len(), 32);
-    let eight = run_rack(32, 8, Engine::Calendar, true);
+    let eight = run_rack(32, 8, false);
     assert_eq!(format!("{one:?}"), format!("{eight:?}"));
 }
 

@@ -261,6 +261,20 @@ mod differential_fuzz {
     use lognic::workloads::corpus::gen::{differential_check, fuzz_config, ScenarioSpec};
     use lognic_testkit::{Fuzz, FuzzOutcome};
 
+    /// Runs `spec` on the calendar queue (`false`) or on the
+    /// `BinaryHeap` oracle (`true`).
+    fn simulate(spec: &ScenarioSpec, reference_heap: bool) -> LogNicResult<SimReport> {
+        let scenario = spec.realize();
+        let sim = Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
+            .config(fuzz_config(spec.seed))
+            .build()?;
+        if reference_heap {
+            sim.run_reference_heap(&mut NoopObserver)
+        } else {
+            sim.run()
+        }
+    }
+
     /// The tentpole property, run at the CI budget: 32 seeded random
     /// scenarios through analyzer → both engines → model. Every
     /// analyzer-clean case must simulate without a watchdog abort on
@@ -304,20 +318,16 @@ mod differential_fuzz {
                 if !analysis.is_clean() {
                     return FuzzOutcome::Skip("analyzer flagged".to_owned());
                 }
-                for engine in [Engine::Calendar, Engine::ReferenceHeap] {
-                    let run =
-                        Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
-                            .config(fuzz_config(spec.seed, engine))
-                            .run();
-                    match run {
+                for (engine, heap) in [("calendar", false), ("reference heap", true)] {
+                    match simulate(spec, heap) {
                         Ok(_) => {}
                         Err(LogNicError::WatchdogAbort { .. }) => {
                             return FuzzOutcome::Fail(format!(
-                                "{engine:?}: watchdog abort on an analyzer-clean scenario"
+                                "{engine}: watchdog abort on an analyzer-clean scenario"
                             ));
                         }
                         Err(e) => {
-                            return FuzzOutcome::Fail(format!("{engine:?}: {e}"));
+                            return FuzzOutcome::Fail(format!("{engine}: {e}"));
                         }
                     }
                 }
@@ -334,14 +344,10 @@ mod differential_fuzz {
     fn engines_agree_even_on_flagged_scenarios() {
         Fuzz::new("properties::engines_agree_on_flagged")
             .cases(16)
-            .run(ScenarioSpec::arbitrary, ScenarioSpec::shrink, |spec| {
-                let scenario = spec.realize();
-                let run = |engine| {
-                    Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
-                        .config(fuzz_config(spec.seed, engine))
-                        .run()
-                };
-                match (run(Engine::Calendar), run(Engine::ReferenceHeap)) {
+            .run(
+                ScenarioSpec::arbitrary,
+                ScenarioSpec::shrink,
+                |spec| match (simulate(spec, false), simulate(spec, true)) {
                     (Ok(w), Ok(h)) => {
                         if w != h || format!("{w:?}") != format!("{h:?}") {
                             FuzzOutcome::Fail("engine reports diverged".to_owned())
@@ -361,8 +367,8 @@ mod differential_fuzz {
                     (w, h) => FuzzOutcome::Fail(format!(
                         "one engine failed, the other ran: {w:?} vs {h:?}"
                     )),
-                }
-            })
+                },
+            )
             .assert_ok(ScenarioSpec::to_json);
     }
 }

@@ -200,3 +200,58 @@ fn summarize_custom_metric_is_deterministic() {
     assert_eq!(util_a, util_b);
     assert!(util_a.mean > 0.3 && util_a.mean < 0.7, "util {util_a}");
 }
+
+/// One worker means no worker thread: `run`, `try_run` and
+/// `run_sim_observed` execute every replica on the calling thread, in
+/// seed order, and aggregate exactly as the threaded path does.
+#[test]
+fn single_worker_replicas_run_on_the_calling_thread() {
+    use std::sync::Mutex;
+    use std::thread::{self, ThreadId};
+
+    let g = mm1_chain(64);
+    let hw = hw();
+    let t = TrafficProfile::fixed(Bandwidth::gbps(5.0), Bytes::new(1000));
+    let caller = thread::current().id();
+    let rep = Replication::new(4).threads(1);
+    let seen: Mutex<Vec<(u64, ThreadId)>> = Mutex::new(Vec::new());
+    let record = |seed: u64| seen.lock().unwrap().push((seed, thread::current().id()));
+    let expected: Vec<(u64, ThreadId)> = rep.seeds().iter().map(|&s| (s, caller)).collect();
+    let simulate = |seed: u64| {
+        Simulation::builder(&g, &hw, &t)
+            .config(SimConfig { seed, ..cfg(1.0) })
+            .run()
+    };
+
+    let plain = rep.run(|seed| {
+        record(seed);
+        simulate(seed).expect("valid scenario")
+    });
+    assert_eq!(*seen.lock().unwrap(), expected, "run");
+
+    seen.lock().unwrap().clear();
+    let fallible = rep
+        .try_run(|seed| {
+            record(seed);
+            simulate(seed)
+        })
+        .expect("valid scenario");
+    assert_eq!(*seen.lock().unwrap(), expected, "try_run");
+
+    seen.lock().unwrap().clear();
+    let (observed, _) = rep
+        .run_sim_observed(&g, &hw, &t, cfg(1.0), None, |seed| {
+            record(seed);
+            NoopObserver
+        })
+        .expect("valid scenario");
+    assert_eq!(*seen.lock().unwrap(), expected, "run_sim_observed");
+
+    let threaded = Replication::new(4)
+        .threads(2)
+        .run_sim(&g, &hw, &t, cfg(1.0))
+        .expect("valid scenario");
+    assert_eq!(plain, threaded);
+    assert_eq!(fallible, threaded);
+    assert_eq!(observed, threaded);
+}

@@ -1,7 +1,7 @@
 //! Differential property test of the simulation sanitizer.
 //!
-//! Three claims, each over the full {calendar, reference heap} ×
-//! {batched, scalar} matrix:
+//! Three claims, each on the calendar queue and on the binary-heap
+//! scheduler oracle (`Simulation::run_reference_heap`):
 //!
 //! 1. **Passivity** — attaching the [`Sanitizer`] never changes the
 //!    report: a sanitized run is byte-identical to the plain run of
@@ -10,25 +10,40 @@
 //!    packet conservation, credit balance, arena discipline, event
 //!    monotonicity and the end-of-run audit all hold across random
 //!    graphs, traffic, fault plans, WRR queue plans and burst traces.
-//! 3. **Cross-path agreement** — the [`SanitizerReport`] counters
-//!    (RNG draws, dispatched events, ledger totals) are identical
-//!    across all four paths, pinning the PR-8 guarantee that the
-//!    batched loop replicates the scalar RNG draw order exactly.
+//! 3. **Cross-scheduler agreement** — the [`SanitizerReport`]
+//!    counters (RNG draws, dispatched events, ledger totals) are
+//!    identical on both schedulers: scheduling may never skip or
+//!    reorder an RNG draw.
 //!
 //! Scenario generators mirror `tests/engine_differential.rs`; a
 //! failing case panics with its seed for exact replay.
 
 use lognic::prelude::*;
+use lognic::workloads::corpus::gen::run_reference_heap_sanitized;
 use lognic_testkit::{ensure, Gen, Property};
 
-/// Every (engine, batch) combination the simulator supports; index 0
-/// is the production default.
-const COMBOS: [(Engine, bool); 4] = [
-    (Engine::Calendar, true),
-    (Engine::Calendar, false),
-    (Engine::ReferenceHeap, true),
-    (Engine::ReferenceHeap, false),
-];
+/// The two schedulers under comparison.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Scheduler {
+    /// The calendar queue every public run entry point uses.
+    Calendar,
+    /// The `BinaryHeap` oracle.
+    ReferenceHeap,
+}
+
+/// Both schedulers; index 0 is the production one.
+const SCHEDULERS: [Scheduler; 2] = [Scheduler::Calendar, Scheduler::ReferenceHeap];
+
+/// Runs a built simulation under the sanitizer on `scheduler`.
+fn run_sanitized_on(
+    sim: Simulation,
+    scheduler: Scheduler,
+) -> LogNicResult<(SimReport, SanitizerReport)> {
+    match scheduler {
+        Scheduler::Calendar => sim.run_sanitized(),
+        Scheduler::ReferenceHeap => run_reference_heap_sanitized(sim),
+    }
+}
 
 /// A random 1–4 stage chain with varied peaks, parallelism and queues.
 fn arb_chain(g: &mut Gen) -> ExecutionGraph {
@@ -122,8 +137,8 @@ fn arb_plan(g: &mut Gen, graph: &ExecutionGraph) -> Option<FaultPlan> {
     Some(plan)
 }
 
-/// A random zero-gap burst trace exercising the batched train loop
-/// and the `drain_burst` arena-alloc path.
+/// A random zero-gap burst trace exercising same-timestamp ties and
+/// the `drain_burst` arena-alloc path.
 fn arb_burst_trace(g: &mut Gen) -> Trace {
     let bursts = g.u64(4..24);
     let gap_us = g.f64(5.0..80.0);
@@ -144,15 +159,11 @@ fn builder<'a>(
     traffic: &'a TrafficProfile,
     plan: &Option<FaultPlan>,
     seed: u64,
-    engine: Engine,
-    batch: bool,
 ) -> SimulationBuilder<'a> {
     let mut b = Simulation::builder(graph, hw, traffic)
         .seed(seed)
         .duration(Seconds::millis(10.0))
-        .warmup(Seconds::millis(2.0))
-        .engine(engine)
-        .batch(batch);
+        .warmup(Seconds::millis(2.0));
     if let Some(p) = plan {
         b = b.with_fault_plan(p.clone());
     }
@@ -172,59 +183,55 @@ fn sanitized_runs_are_passive_clean_and_bit_identical() {
 
             let mut reports: Vec<SimReport> = Vec::new();
             let mut audits: Vec<SanitizerReport> = Vec::new();
-            for &(engine, batch) in &COMBOS {
-                let plain = builder(&graph, &hw, &traffic, &plan, seed, engine, batch)
-                    .run()
-                    .expect("generated scenarios are valid");
-                let (sanitized, audit) = builder(&graph, &hw, &traffic, &plan, seed, engine, batch)
+            let plain = builder(&graph, &hw, &traffic, &plan, seed)
+                .run()
+                .expect("generated scenarios are valid");
+            for &scheduler in &SCHEDULERS {
+                let sim = builder(&graph, &hw, &traffic, &plan, seed)
                     .build()
-                    .expect("generated scenarios are valid")
-                    .run_sanitized()
-                    .expect("healthy runs are sanitizer-clean");
+                    .expect("generated scenarios are valid");
+                let (sanitized, audit) =
+                    run_sanitized_on(sim, scheduler).expect("healthy runs are sanitizer-clean");
                 ensure!(
                     plain == sanitized,
-                    "sanitizer perturbed the run ({engine:?} batch={batch}, faulted: {})",
+                    "sanitizer perturbed the run ({scheduler:?}, faulted: {})",
                     plan.is_some()
                 );
                 ensure!(
                     audit.is_clean(),
-                    "violations on a healthy run ({engine:?} batch={batch}): {:?}",
+                    "violations on a healthy run ({scheduler:?}): {:?}",
                     audit.violations
                 );
                 reports.push(sanitized);
                 audits.push(audit);
             }
 
-            for (r, &(engine, batch)) in reports.iter().zip(&COMBOS).skip(1) {
-                ensure!(
-                    reports[0] == *r,
-                    "sanitized reports diverged ({engine:?} batch={batch})"
-                );
-                ensure!(
-                    format!("{:?}", reports[0]) == format!("{r:?}"),
-                    "debug renderings diverged ({engine:?} batch={batch})"
-                );
-            }
-            // The audit counters pin the cross-path contracts directly:
-            // identical RNG draw counts (batch replays the scalar draw
-            // order), identical event counts, identical ledger totals.
-            for (a, &(engine, batch)) in audits.iter().zip(&COMBOS).skip(1) {
-                ensure!(
-                    audits[0].rng_draws == a.rng_draws,
-                    "RNG draw counts diverged ({engine:?} batch={batch}): {} vs {}",
-                    audits[0].rng_draws,
-                    a.rng_draws
-                );
-                ensure!(
-                    audits[0].events == a.events,
-                    "event counts diverged ({engine:?} batch={batch})"
-                );
-                ensure!(
-                    (audits[0].injected, audits[0].delivered, audits[0].dropped)
-                        == (a.injected, a.delivered, a.dropped),
-                    "conservation ledgers diverged ({engine:?} batch={batch})"
-                );
-            }
+            ensure!(
+                reports[0] == reports[1],
+                "sanitized reports diverged from the heap oracle"
+            );
+            ensure!(
+                format!("{:?}", reports[0]) == format!("{:?}", reports[1]),
+                "debug renderings diverged from the heap oracle"
+            );
+            // The audit counters pin the cross-scheduler contracts
+            // directly: identical RNG draw counts, identical event
+            // counts, identical ledger totals.
+            let (a, h) = (&audits[0], &audits[1]);
+            ensure!(
+                a.rng_draws == h.rng_draws,
+                "RNG draw counts diverged from the heap oracle: {} vs {}",
+                a.rng_draws,
+                h.rng_draws
+            );
+            ensure!(
+                a.events == h.events,
+                "event counts diverged from the heap oracle"
+            );
+            ensure!(
+                (a.injected, a.delivered, a.dropped) == (h.injected, h.delivered, h.dropped),
+                "conservation ledgers diverged from the heap oracle"
+            );
             // The ledger must close: every injected packet was
             // delivered or dropped by end of run.
             let a = &audits[0];
@@ -252,38 +259,32 @@ fn burst_trace_runs_are_sanitizer_clean_on_all_paths() {
 
             let mut reports = Vec::new();
             let mut audits = Vec::new();
-            for &(engine, batch) in &COMBOS {
-                let (report, audit) = Simulation::builder(&graph, &hw, &traffic)
+            for &scheduler in &SCHEDULERS {
+                let sim = Simulation::builder(&graph, &hw, &traffic)
                     .with_trace(trace.clone())
                     .seed(seed)
                     .duration(Seconds::millis(10.0))
                     .warmup(Seconds::ZERO)
-                    .engine(engine)
-                    .batch(batch)
                     .build()
-                    .expect("generated scenarios are valid")
-                    .run_sanitized()
+                    .expect("generated scenarios are valid");
+                let (report, audit) = run_sanitized_on(sim, scheduler)
                     .expect("healthy trace runs are sanitizer-clean");
                 ensure!(
                     audit.is_clean(),
-                    "violations on a burst trace ({engine:?} batch={batch}): {:?}",
+                    "violations on a burst trace ({scheduler:?}): {:?}",
                     audit.violations
                 );
                 reports.push(report);
                 audits.push(audit);
             }
-            for (r, &(engine, batch)) in reports.iter().zip(&COMBOS).skip(1) {
-                ensure!(
-                    reports[0] == *r,
-                    "sanitized burst reports diverged ({engine:?} batch={batch})"
-                );
-            }
-            for a in &audits[1..] {
-                ensure!(
-                    audits[0].rng_draws == a.rng_draws && audits[0].events == a.events,
-                    "burst audit counters diverged across paths"
-                );
-            }
+            ensure!(
+                reports[0] == reports[1],
+                "sanitized burst reports diverged from the heap oracle"
+            );
+            ensure!(
+                audits[0].rng_draws == audits[1].rng_draws && audits[0].events == audits[1].events,
+                "burst audit counters diverged from the heap oracle"
+            );
             Ok(())
         });
 }
@@ -292,7 +293,7 @@ fn burst_trace_runs_are_sanitizer_clean_on_all_paths() {
 /// squeeze on its shared-queue neighbour, probabilistic drops, retry
 /// and a deadline — every sanitizer code path (per-class admission,
 /// credit windows, queue reaps without dequeue, retry re-injection)
-/// in one deterministic scenario across all four paths.
+/// in one deterministic scenario on both schedulers.
 #[test]
 fn chaos_anchor_is_sanitizer_clean_and_identical_across_paths() {
     let graph = ExecutionGraph::chain(
@@ -332,37 +333,31 @@ fn chaos_anchor_is_sanitizer_clean_and_identical_across_paths() {
 
     let mut reports = Vec::new();
     let mut audits = Vec::new();
-    for &(engine, batch) in &COMBOS {
-        let (report, audit) = Simulation::builder(&graph, &hw, &traffic)
+    for &scheduler in &SCHEDULERS {
+        let sim = Simulation::builder(&graph, &hw, &traffic)
             .seed(31)
             .duration(Seconds::millis(10.0))
             .warmup(Seconds::millis(2.0))
-            .engine(engine)
-            .batch(batch)
             .with_fault_plan(plan.clone())
             .override_queues("crypto", queues.clone())
             .build()
-            .unwrap()
-            .run_sanitized()
-            .unwrap_or_else(|e| panic!("chaos anchor tripped ({engine:?} batch={batch}): {e}"));
+            .unwrap();
+        let (report, audit) = run_sanitized_on(sim, scheduler)
+            .unwrap_or_else(|e| panic!("chaos anchor tripped ({scheduler:?}): {e}"));
         assert!(
             audit.is_clean(),
-            "violations ({engine:?} batch={batch}): {:?}",
+            "violations ({scheduler:?}): {:?}",
             audit.violations
         );
         reports.push(report);
         audits.push(audit);
     }
-    for (r, &(engine, batch)) in reports.iter().zip(&COMBOS).skip(1) {
-        assert_eq!(
-            &reports[0], r,
-            "chaos anchor diverged ({engine:?} batch={batch})"
-        );
-    }
-    for a in &audits[1..] {
-        assert_eq!(audits[0].rng_draws, a.rng_draws);
-        assert_eq!(audits[0].events, a.events);
-    }
+    assert_eq!(
+        reports[0], reports[1],
+        "chaos anchor diverged from the heap oracle"
+    );
+    assert_eq!(audits[0].rng_draws, audits[1].rng_draws);
+    assert_eq!(audits[0].events, audits[1].events);
     // The scenario really exercised the interesting paths.
     let a = &audits[0];
     assert!(a.injected > 0, "nothing injected");

@@ -67,26 +67,40 @@ fn small_brownout() -> lognic::workloads::chaos::ChaosScenario {
     )
 }
 
-fn small_config(seed: u64, engine: Engine) -> SimConfig {
+fn small_config(seed: u64) -> SimConfig {
     SimConfig {
         seed,
         duration: Seconds::micros(600.0),
         warmup: Seconds::ZERO,
-        engine,
         ..SimConfig::default()
     }
 }
 
+/// Runs the brownout at `seed` under `obs`, on the calendar queue or
+/// on the binary-heap scheduler oracle.
+fn run_brownout<O: SimObserver>(seed: u64, reference_heap: bool, obs: &mut O) -> SimReport {
+    let chaos = small_brownout();
+    if !reference_heap {
+        return chaos.simulate_with(small_config(seed), obs).expect("run");
+    }
+    let s = &chaos.scenario;
+    Simulation::builder(&s.graph, &s.hardware, &s.traffic)
+        .config(small_config(seed))
+        .with_fault_plan(chaos.plan.clone())
+        .build()
+        .expect("brownout builds")
+        .run_reference_heap(obs)
+        .expect("run")
+}
+
 /// Passivity: the fully-instrumented run (ring + sampler + Chrome
 /// exporter stacked through the tuple observer) reports exactly what
-/// the untraced run reports — on both engines, with faults live.
+/// the untraced run reports — on both schedulers, with faults live.
 #[test]
 fn traced_reports_are_byte_identical_to_untraced() {
-    let chaos = small_brownout();
-    for engine in [Engine::Calendar, Engine::ReferenceHeap] {
+    for reference_heap in [false, true] {
         for seed in [7, 42, 1234] {
-            let config = small_config(seed, engine);
-            let plain = chaos.simulate(config).expect("untraced run");
+            let plain = run_brownout(seed, reference_heap, &mut NoopObserver);
 
             let mut obs = (
                 RingLog::with_capacity(1 << 15),
@@ -95,7 +109,7 @@ fn traced_reports_are_byte_identical_to_untraced() {
                     ChromeTrace::new(),
                 ),
             );
-            let traced = chaos.simulate_with(config, &mut obs).expect("traced run");
+            let traced = run_brownout(seed, reference_heap, &mut obs);
 
             assert_eq!(plain, traced, "seed {seed}: observer perturbed the run");
             assert_eq!(
@@ -140,21 +154,19 @@ fn traced_reports_match_untraced_without_faults() {
     assert!(ring.written() > 0, "observer saw no events");
 }
 
-/// Determinism: the binary event ring is byte-identical across the
-/// two scheduler engines and across repeated runs of the same seed.
+/// Determinism: the binary event ring is byte-identical on the
+/// calendar queue and the heap oracle, and across repeated runs of the
+/// same seed.
 #[test]
 fn ring_traces_are_identical_across_engines_and_reruns() {
-    let chaos = small_brownout();
-    let capture = |engine| {
+    let capture = |reference_heap| {
         let mut ring = RingLog::with_capacity(1 << 15);
-        chaos
-            .simulate_with(small_config(7, engine), &mut ring)
-            .expect("traced run");
+        run_brownout(7, reference_heap, &mut ring);
         ring
     };
-    let wheel = capture(Engine::Calendar);
-    let heap = capture(Engine::ReferenceHeap);
-    let again = capture(Engine::Calendar);
+    let wheel = capture(false);
+    let heap = capture(true);
+    let again = capture(false);
     assert_eq!(
         wheel.bytes(),
         heap.bytes(),
@@ -176,7 +188,7 @@ fn ring_log_is_bounded_and_keeps_the_newest_events() {
     let chaos = small_brownout();
     let mut ring = RingLog::with_capacity(64);
     chaos
-        .simulate_with(small_config(7, Engine::Calendar), &mut ring)
+        .simulate_with(small_config(7), &mut ring)
         .expect("traced run");
     assert_eq!(ring.capacity(), 64);
     assert!(ring.written() > 64, "run too small to overflow the ring");
@@ -196,7 +208,7 @@ fn timeline_samples_on_the_grid_and_within_bounds() {
     let chaos = small_brownout();
     let s = &chaos.scenario;
     let (report, timeline) = Simulation::builder(&s.graph, &s.hardware, &s.traffic)
-        .config(small_config(7, Engine::Calendar))
+        .config(small_config(7))
         .with_fault_plan(chaos.plan.clone())
         .timeline(Seconds::micros(25.0))
         .expect("timeline run");
@@ -235,7 +247,7 @@ fn chrome_trace_matches_golden() {
     let chaos = small_brownout();
     let mut trace = ChromeTrace::new();
     chaos
-        .simulate_with(small_config(7, Engine::Calendar), &mut trace)
+        .simulate_with(small_config(7), &mut trace)
         .expect("traced run");
     assert_eq!(trace.truncated(), 0, "fixture must not truncate");
     assert_golden("brownout.chrome.json", &trace.into_json());
@@ -247,7 +259,7 @@ fn timeline_csv_matches_golden() {
     let chaos = small_brownout();
     let mut sampler = TimeSeriesSampler::new(Seconds::micros(25.0));
     chaos
-        .simulate_with(small_config(7, Engine::Calendar), &mut sampler)
+        .simulate_with(small_config(7), &mut sampler)
         .expect("traced run");
     assert_golden("brownout.timeline.csv", &sampler.into_timeline().to_csv());
 }

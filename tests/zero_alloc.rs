@@ -89,14 +89,13 @@ fn scenario() -> (ExecutionGraph, HardwareModel, TrafficProfile) {
 
 /// Runs the scenario for `millis` and returns `(events, allocations)`
 /// for the whole build + run.
-fn run_counted(engine: Engine, millis: f64) -> (u64, u64) {
+fn run_counted(millis: f64) -> (u64, u64) {
     let (graph, hw, traffic) = scenario();
     let a0 = allocs_now();
     let report = Simulation::builder(&graph, &hw, &traffic)
         .seed(7)
         .duration(Seconds::millis(millis))
         .warmup(Seconds::millis(millis * 0.2))
-        .engine(engine)
         .run()
         .expect("valid scenario");
     (report.events, allocs_now() - a0)
@@ -105,10 +104,10 @@ fn run_counted(engine: Engine, millis: f64) -> (u64, u64) {
 #[test]
 fn calendar_engine_steady_state_is_allocation_free() {
     // Warm the allocator's own caches before measuring.
-    run_counted(Engine::Calendar, 5.0);
+    run_counted(5.0);
 
-    let (ev_short, alloc_short) = run_counted(Engine::Calendar, 10.0);
-    let (ev_long, alloc_long) = run_counted(Engine::Calendar, 30.0);
+    let (ev_short, alloc_short) = run_counted(10.0);
+    let (ev_long, alloc_long) = run_counted(30.0);
 
     let extra_events = ev_long - ev_short;
     let extra_allocs = alloc_long.saturating_sub(alloc_short);
@@ -175,9 +174,9 @@ fn calendar_queue_hold_pattern_reuses_slab_slots() {
 fn arena_reuses_freed_packet_slots() {
     // Over three identical runs the arena high-water mark is reached
     // in the first; later runs must not allocate meaningfully more.
-    run_counted(Engine::Calendar, 10.0);
-    let (_, a1) = run_counted(Engine::Calendar, 10.0);
-    let (_, a2) = run_counted(Engine::Calendar, 10.0);
+    run_counted(10.0);
+    let (_, a1) = run_counted(10.0);
+    let (_, a2) = run_counted(10.0);
     // Identical work → near-identical allocation counts (the build
     // phase allocates; the delta between identical runs is noise).
     let diff = a1.abs_diff(a2);
