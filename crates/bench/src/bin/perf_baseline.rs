@@ -5,13 +5,11 @@
 //! same-timestamp arrival trains) plus a scheduler hold-model stress
 //! and records events/sec, wall time and steady-state
 //! allocations-per-event into `BENCH_sim.json`, one row per workload.
-//! The `fleet_rack16_s{1,2,4,8}` rows run the 16-NIC registry rack
-//! through the sharded fleet loop at each shard count (aggregate
-//! events are byte-identical across counts, so the rows isolate
-//! wall-clock scaling on the bench machine — see DESIGN §5l for the
-//! honest analysis). CI replays the same measurements and fails when
-//! events/sec regresses by more than 25 % against the committed
-//! baseline (`--check`).
+//! The `fleet_rack16` row runs the 16-NIC registry rack through the
+//! fleet's conservative-lookahead round loop. CI replays the same
+//! measurements and fails when events/sec regresses by more than
+//! 25 % against the committed baseline, or when a measured row has no
+//! baseline entry at all (`--check`).
 //!
 //! Usage:
 //!
@@ -253,34 +251,14 @@ fn hold_run() -> (u64, f64, f64) {
     (HOLD_OPS, secs, allocs as f64 / HOLD_OPS as f64)
 }
 
-/// Rack size for the fleet scaling rows: 16 NICs keeps the
-/// 4-shard-count sweep affordable while still spreading several NICs
-/// per shard at every measured count.
-const FLEET_NICS: usize = 16;
-
-/// Shard counts measured for the committed scaling rows.
-const FLEET_SHARDS: [usize; 4] = [1, 2, 4, 8];
-
-fn fleet_case_name(shards: usize) -> &'static str {
-    match shards {
-        1 => "fleet_rack16_s1",
-        2 => "fleet_rack16_s2",
-        4 => "fleet_rack16_s4",
-        8 => "fleet_rack16_s8",
-        _ => unreachable!("only FLEET_SHARDS values are measured"),
-    }
-}
-
-/// One fleet scaling row: the 16-NIC registry rack at a given shard
-/// count. Timing excludes topology construction and per-NIC builds
-/// (the steady-state loop is what shards parallelize); `events` is
-/// the aggregate across NICs and — by the determinism guarantee —
-/// identical at every shard count, so rows differ only in wall time.
-fn measure_fleet(shards: usize) -> Case {
+/// The fleet row: the 16-NIC registry rack. Timing excludes topology
+/// construction and per-NIC builds, so the row measures the round
+/// loop; `events` is the aggregate across NICs.
+fn measure_fleet() -> Case {
     let mut best = f64::INFINITY;
     let mut events = 0;
     for _ in 0..3 {
-        let fleet = rack::smoke_fleet(FLEET_NICS, shards)
+        let fleet = rack::smoke_fleet(16)
             .build()
             .expect("the registry rack builds");
         let start = Instant::now();
@@ -292,7 +270,7 @@ fn measure_fleet(shards: usize) -> Case {
         events = report.events;
     }
     Case {
-        name: fleet_case_name(shards),
+        name: "fleet_rack16",
         events,
         wall_secs: best,
         events_per_sec: events as f64 / best,
@@ -461,10 +439,7 @@ fn main() {
 
     let mut cases: Vec<Case> = workloads().iter().map(measure).collect();
     cases.push(measure_hold());
-    // Fleet scaling rows: the aggregate event count is identical at
-    // every shard count (the determinism guarantee), so the rows
-    // isolate how wall time responds to sharding on this machine.
-    cases.extend(FLEET_SHARDS.map(measure_fleet));
+    cases.push(measure_fleet());
     for c in &cases {
         println!(
             "{:<16} {:>10} events  {:>8.1} ms  {:>12.0} ev/s  {:.4} allocs/ev",
@@ -489,6 +464,7 @@ fn main() {
         for c in &cases {
             let Some((_, old_eps)) = old.iter().find(|(n, _)| n == c.name) else {
                 eprintln!("perf-smoke: no baseline entry for {}", c.name);
+                failed = true;
                 continue;
             };
             let floor = old_eps * 0.75;
@@ -504,7 +480,7 @@ fn main() {
             );
         }
         if failed {
-            eprintln!("perf-smoke: events/sec regressed by more than 25%");
+            eprintln!("perf-smoke: a row regressed by more than 25% or has no baseline entry");
             std::process::exit(1);
         }
         println!("perf-smoke: within 25% of the committed baseline");

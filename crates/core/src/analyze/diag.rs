@@ -410,7 +410,7 @@ without it — the scheduled fault demonstrably changes nothing."),
     FleetZeroLatencyLink = ("L0701", "fleet-zero-latency-link", Deny,
 "a traffic-carrying fleet link has zero propagation latency
 
-The sharded fleet event loop exchanges boundary packets at
+The fleet event loop exchanges boundary packets at
 conservative-lookahead window boundaries, and the lookahead is the
 minimum latency over links that actually carry traffic. A zero-latency
 link collapses that window to nothing: no finite schedule can order

@@ -427,10 +427,8 @@ impl Service {
     }
 
     /// Runs the registry rack through the fleet runtime. The response
-    /// is a pure function of `(nics, duration_ms, max_events)` — the
-    /// fleet loop guarantees the aggregate report is byte-identical
-    /// at any `shards` value, so the shard knob tunes wall-clock
-    /// only and deliberately never appears in the response.
+    /// is a pure function of `(nics, duration_ms, max_events)`; a
+    /// `shards` field is accepted for older clients and ignored.
     fn evaluate_fleet(&self, req: &Request) -> Result<String, ServiceError> {
         let duration = Seconds::millis(req.duration_ms);
         let mut budget = self.config.max_events_per_request;
@@ -451,7 +449,6 @@ impl Service {
         };
         let report = FleetBuilder::new(rack::topology(req.nics as usize))
             .config(config)
-            .shards(req.shards as usize)
             .build()?
             .run()?;
         let mut out = String::with_capacity(256);
@@ -926,19 +923,30 @@ mod tests {
     }
 
     #[test]
-    fn fleet_simulate_round_trip_is_shard_invariant() {
-        let run = |shards: u32| {
-            let mut s = det_service();
-            s.handle_line(&format!(
-                r#"{{"id":"f","kind":"fleet_simulate","nics":4,"shards":{shards},"duration_ms":2}}"#
-            ))
-        };
-        let one = run(1);
-        assert!(one.contains("\"ok\":true"), "{one}");
-        assert!(one.contains("\"topology\":\"rack-4\""), "{one}");
-        assert!(one.contains("\"forwarded\":"), "{one}");
-        parse(&one).expect("valid JSON");
-        assert_eq!(one, run(8), "shard count must not leak into responses");
+    fn fleet_simulate_accepts_and_ignores_the_shards_field() {
+        let run = |line: &str| det_service().handle_line(line);
+        let plain = run(r#"{"id":"f","kind":"fleet_simulate","nics":4,"duration_ms":2}"#);
+        assert!(plain.contains("\"ok\":true"), "{plain}");
+        assert!(plain.contains("\"topology\":\"rack-4\""), "{plain}");
+        assert!(plain.contains("\"forwarded\":"), "{plain}");
+        parse(&plain).expect("valid JSON");
+        let sharded =
+            run(r#"{"id":"f","kind":"fleet_simulate","nics":4,"shards":8,"duration_ms":2}"#);
+        assert_eq!(
+            plain, sharded,
+            "the shards field must not change the response"
+        );
+    }
+
+    #[test]
+    fn fleet_simulate_over_its_event_budget_is_a_watchdog_abort() {
+        let mut s = det_service();
+        let out = s.handle_line(
+            r#"{"id":"w","kind":"fleet_simulate","nics":4,"duration_ms":2,"max_events":500}"#,
+        );
+        assert!(out.contains("\"code\":\"watchdog_abort\""), "{out}");
+        assert!(out.contains("\"events\":501"), "{out}");
+        parse(&out).expect("valid JSON");
     }
 
     #[test]

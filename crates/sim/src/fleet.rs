@@ -1,4 +1,4 @@
-//! Fleet simulation: a sharded, deterministic event loop over a
+//! Fleet simulation: a sequential, deterministic event loop over a
 //! multi-NIC [`Topology`].
 //!
 //! The fleet runtime lifts the single-device simulator to rack scale
@@ -10,21 +10,19 @@
 //! hearing from its peers, then exchange boundary packets at the
 //! window edge.
 //!
-//! **Determinism.** Aggregate [`FleetReport`]s are bit-identical at
-//! any shard count because nothing observable depends on the thread
-//! schedule:
+//! **Determinism.** A [`FleetReport`] is a pure function of the
+//! topology, configuration and seed:
 //!
 //! * the window schedule (`limit = (round+1)·L`) is a pure function
-//!   of the topology, not of how NICs are assigned to shards;
+//!   of the topology;
 //! * each NIC is a fully sequential [`Simulation`] with its own RNG
-//!   stream, arena and event sequence;
-//! * boundary packets are exchanged through per-NIC mailboxes and
+//!   stream, arena and event sequence, so the order in which NICs
+//!   advance through a window cannot change what any of them does;
+//! * boundary packets are collected into per-destination inboxes and
 //!   sorted by the canonical key `(arrival time, source NIC,
-//!   emission sequence)` before injection, erasing mailbox push
-//!   order;
-//! * the round loop's continue/stop decision is a global OR of
-//!   per-NIC activity, evaluated at a barrier, so every shard stops
-//!   at the same round.
+//!   emission sequence)` before injection;
+//! * the run stops after the first round in which no NIC had
+//!   activity.
 //!
 //! The single-NIC simulation is the degenerate case: a topology with
 //! no traffic-carrying links has infinite lookahead, so the whole
@@ -41,9 +39,6 @@ use crate::rng::SimRng;
 use crate::sim::{BoundaryPacket, PacedRun, SimConfig, Simulation, Uplink};
 use crate::time::SimTime;
 use crate::trace::NoopObserver;
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex};
 
 /// The RNG seed NIC `index` of a fleet derives from the fleet's base
 /// seed.
@@ -98,7 +93,6 @@ pub fn nic_seed(base: u64, index: usize) -> u64 {
 pub struct FleetBuilder {
     topology: Topology,
     config: SimConfig,
-    shards: usize,
     analysis: AnalysisConfig,
 }
 
@@ -108,7 +102,6 @@ impl FleetBuilder {
         FleetBuilder {
             topology,
             config: SimConfig::default(),
-            shards: 1,
             analysis: AnalysisConfig::default(),
         }
     }
@@ -139,13 +132,11 @@ impl FleetBuilder {
         self
     }
 
-    /// Sets the worker-shard count. NICs are assigned round-robin to
-    /// shards; the count is clamped to the NIC count at run time, and
-    /// a single shard runs on the calling thread. Reports are
-    /// bit-identical at any shard count — this knob trades wall-clock
-    /// for cores, never results.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+    /// Does nothing: the fleet always runs on the calling thread.
+    /// Kept only so the end-to-end benchmark, which still calls it,
+    /// builds unchanged; it goes away once that call does.
+    #[doc(hidden)]
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -255,7 +246,6 @@ impl FleetBuilder {
             sims,
             link_meta,
             lookahead_ps,
-            shards: self.shards,
             duration: self.config.duration,
             warnings,
         })
@@ -280,131 +270,8 @@ pub struct FleetSim {
     sims: Vec<Simulation>,
     link_meta: Vec<LinkMeta>,
     lookahead_ps: u64,
-    shards: usize,
     duration: Seconds,
     warnings: Vec<Diagnostic>,
-}
-
-/// What one NIC's worker hands back to the aggregator.
-type NicOutcome = LogNicResult<(SimReport, Vec<Uplink>, u64, u64)>;
-
-/// Shared coordination state of one fleet run.
-struct Shared {
-    /// One inbound mailbox per NIC, filled during the advance phase
-    /// and drained (sorted canonically) during the inject phase.
-    mailboxes: Vec<Mutex<Vec<BoundaryPacket>>>,
-    /// Double-buffered activity flags, indexed by round parity: round
-    /// `r` raises `flags[r % 2]` on any activity and resets the
-    /// *other* buffer, whose readers all finished at round `r-1`'s
-    /// closing barrier.
-    flags: [AtomicBool; 2],
-    /// Raised by a shard whose NIC failed; every shard observes it at
-    /// the same round boundary and stops.
-    failed: AtomicBool,
-    /// Serves as both the exchange barrier (after advance) and the
-    /// decision barrier (after inject) of every round.
-    barrier: Barrier,
-    /// The conservative lookahead window, in picoseconds.
-    lookahead_ps: u64,
-}
-
-/// One NIC's paced run inside a shard.
-struct NicRun {
-    index: usize,
-    run: PacedRun,
-    err: Option<LogNicError>,
-    /// This NIC's inbound packets of the current round. Swapped with
-    /// the shared mailbox each round, so both vectors keep their
-    /// capacity instead of being reallocated.
-    inbox: Vec<BoundaryPacket>,
-}
-
-/// Drives one shard's NICs through the round protocol until every
-/// shard agrees to stop; returns each NIC's outcome and the number of
-/// rounds taken.
-fn run_shard(
-    part: Vec<(usize, Simulation)>,
-    shared: &Shared,
-    reference_heap: bool,
-) -> (Vec<(usize, NicOutcome)>, u64) {
-    let mut obs = NoopObserver;
-    let mut nics: Vec<NicRun> = part
-        .into_iter()
-        .map(|(index, sim)| NicRun {
-            index,
-            run: PacedRun::start(sim, &mut obs, reference_heap),
-            err: None,
-            inbox: Vec::new(),
-        })
-        .collect();
-    let mut round: u64 = 0;
-    loop {
-        let p = (round % 2) as usize;
-        // Safe to reset: every reader of flags[1-p] finished at round
-        // r-1's closing barrier.
-        shared.flags[1 - p].store(false, Ordering::SeqCst);
-        let limit = round.saturating_add(1).saturating_mul(shared.lookahead_ps);
-        let mut activity = false;
-        for nic in nics.iter_mut().filter(|nic| nic.err.is_none()) {
-            match nic.run.advance(limit, &mut obs) {
-                Ok(more) => activity |= more,
-                Err(e) => {
-                    nic.err = Some(e);
-                    shared.failed.store(true, Ordering::SeqCst);
-                    continue;
-                }
-            }
-            let out = nic.run.drain_outbox();
-            activity |= out.len() > 0;
-            for bp in out {
-                shared.mailboxes[bp.dst_nic as usize]
-                    .lock()
-                    .expect("no poisoned shards")
-                    .push(bp);
-            }
-        }
-        if activity {
-            shared.flags[p].store(true, Ordering::SeqCst);
-        }
-        shared.barrier.wait();
-        for nic in nics.iter_mut().filter(|nic| nic.err.is_none()) {
-            std::mem::swap(
-                &mut *shared.mailboxes[nic.index]
-                    .lock()
-                    .expect("no poisoned shards"),
-                &mut nic.inbox,
-            );
-            nic.inbox
-                .sort_unstable_by_key(|b| (b.arrive_ps, b.src_nic, b.emit_seq));
-            for bp in &nic.inbox {
-                nic.run.inject_boundary(bp);
-            }
-            nic.inbox.clear();
-        }
-        let stop = !shared.flags[p].load(Ordering::SeqCst) || shared.failed.load(Ordering::SeqCst);
-        shared.barrier.wait();
-        round += 1;
-        if stop {
-            break;
-        }
-    }
-    let outcomes = nics
-        .into_iter()
-        .map(|nic| {
-            let outcome = match nic.err {
-                Some(e) => Err(e),
-                None => {
-                    let uplinks = nic.run.uplinks().to_vec();
-                    let received = nic.run.received();
-                    let emitted = nic.run.emitted();
-                    let report = nic.run.finish(&mut obs);
-                    Ok((report, uplinks, received, emitted))
-                }
-            };
-            (nic.index, outcome)
-        })
-        .collect();
-    (outcomes, round)
 }
 
 impl FleetSim {
@@ -420,14 +287,14 @@ impl FleetSim {
         &self.warnings
     }
 
-    /// Runs every NIC to completion across the configured shards and
-    /// aggregates a [`FleetReport`].
+    /// Runs every NIC to completion, one lookahead window at a time,
+    /// and aggregates a [`FleetReport`].
     ///
     /// # Errors
     ///
-    /// When NICs fail (e.g. a watchdog abort), the error of the
-    /// *lowest-indexed* failing NIC propagates — a deterministic
-    /// choice, not a race between shards.
+    /// When NICs fail (e.g. a watchdog abort), the run stops at the
+    /// first failing round and returns the error of the
+    /// *lowest-indexed* NIC that failed in it.
     pub fn run(self) -> LogNicResult<FleetReport> {
         self.run_on(false)
     }
@@ -446,77 +313,46 @@ impl FleetSim {
 
     fn run_on(self, reference_heap: bool) -> LogNicResult<FleetReport> {
         let n = self.sims.len();
-        let shards = self.shards.min(n).max(1);
-
-        // Round-robin NIC -> shard assignment; each shard owns its
-        // NICs' paced runs for the whole run.
-        let mut parts: Vec<Vec<(usize, Simulation)>> = (0..shards).map(|_| Vec::new()).collect();
-        for (i, sim) in self.sims.into_iter().enumerate() {
-            parts[i % shards].push((i, sim));
-        }
-
-        let shared = Shared {
-            mailboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            flags: [AtomicBool::new(false), AtomicBool::new(false)],
-            failed: AtomicBool::new(false),
-            barrier: Barrier::new(shards),
-            lookahead_ps: self.lookahead_ps,
-        };
-        let shard_results: Vec<(Vec<(usize, NicOutcome)>, u64)> = if shards == 1 {
-            // One shard: run the rounds on the calling thread.
-            parts
-                .into_iter()
-                .map(|part| run_shard(part, &shared, reference_heap))
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = parts
-                    .into_iter()
-                    .map(|part| {
-                        let shared = &shared;
-                        scope.spawn(move || run_shard(part, shared, reference_heap))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("no panicked shards"))
-                    .collect()
-            })
-        };
-
-        // Every shard stops at the same round.
-        let mut rounds = 0;
-        let mut slots: Vec<Option<NicOutcome>> = (0..n).map(|_| None).collect();
-        for (outcomes, shard_rounds) in shard_results {
-            rounds = shard_rounds;
-            for (i, outcome) in outcomes {
-                slots[i] = Some(outcome);
-            }
-        }
-
-        // Deterministic error choice: the lowest-indexed failing NIC.
-        let mut nics = Vec::with_capacity(n);
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot.expect("every NIC index was claimed exactly once") {
-                Err(e) => return Err(e),
-                Ok((report, uplinks, received, emitted)) => {
-                    nics.push((
-                        self.nic_names[i].clone(),
-                        report,
-                        uplinks,
-                        received,
-                        emitted,
-                    ));
+        let mut obs = NoopObserver;
+        let mut runs: Vec<PacedRun> = self
+            .sims
+            .into_iter()
+            .map(|sim| PacedRun::start(sim, &mut obs, reference_heap))
+            .collect();
+        // One inbox per destination NIC; cleared after injection so
+        // every round reuses the previous round's capacity.
+        let mut inboxes: Vec<Vec<BoundaryPacket>> = (0..n).map(|_| Vec::new()).collect();
+        let mut rounds: u64 = 0;
+        loop {
+            let limit = rounds.saturating_add(1).saturating_mul(self.lookahead_ps);
+            rounds += 1;
+            let mut activity = false;
+            // Index order makes the first error the lowest-indexed
+            // failing NIC of the first failing round.
+            for run in &mut runs {
+                activity |= run.advance(limit, &mut obs)?;
+                for bp in run.drain_outbox() {
+                    activity = true;
+                    inboxes[bp.dst_nic as usize].push(bp);
                 }
             }
+            for (run, inbox) in runs.iter_mut().zip(&mut inboxes) {
+                inbox.sort_unstable_by_key(|b| (b.arrive_ps, b.src_nic, b.emit_seq));
+                for bp in inbox.drain(..) {
+                    run.inject_boundary(&bp);
+                }
+            }
+            if !activity {
+                break;
+            }
         }
 
+        let secs = self.duration.as_secs();
         let links: Vec<LinkReport> = self
             .link_meta
             .iter()
             .map(|m| {
-                let up = &nics[m.src].2[m.pos];
-                let secs = self.duration.as_secs();
+                let up = &runs[m.src].uplinks()[m.pos];
                 LinkReport {
                     src: m.src_name.clone(),
                     dst: m.dst_name.clone(),
@@ -546,7 +382,10 @@ impl FleetSim {
         };
         let mut throughput = 0.0;
         let mut goodput = 0.0;
-        for (name, nic_report, _uplinks, received, emitted) in nics {
+        for (run, name) in runs.into_iter().zip(self.nic_names) {
+            let received = run.received();
+            let emitted = run.emitted();
+            let nic_report = run.finish(&mut obs);
             report.injected += nic_report.injected;
             report.completed += nic_report.completed;
             report.dropped += nic_report.dropped;
@@ -599,10 +438,9 @@ pub struct LinkReport {
 
 /// Aggregate measurements of one fleet run.
 ///
-/// Bit-identical for a given topology, configuration and seed at any
-/// shard count; differential tests compare reports via their `Debug`
-/// rendering, so the report deliberately records nothing about the
-/// thread schedule (no shard count, no wall-clock).
+/// Bit-identical for a given topology, configuration and seed;
+/// differential tests compare reports via their `Debug` rendering, so
+/// the report deliberately records no wall-clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// The topology's name.

@@ -1,11 +1,5 @@
 //! Fleet simulation: a hand-built NIC pair, then the 32-NIC registry
-//! rack, through the sharded deterministic event loop.
-//!
-//! The headline property on display: the aggregate `FleetReport` is
-//! byte-identical at any shard count — `shards` tunes wall-clock
-//! only. This example runs the rack at 1 and 8 shards and asserts
-//! the reports match (the same check CI's `fleet-smoke` job makes
-//! end-to-end through the service protocol).
+//! rack, through the deterministic conservative-lookahead event loop.
 //!
 //! ```console
 //! $ cargo run --release --example fleet_rack
@@ -36,7 +30,6 @@ fn main() -> Result<(), LogNicError> {
     let report = FleetBuilder::new(topo)
         .duration(Seconds::millis(2.0))
         .warmup(Seconds::ZERO)
-        .shards(2) // wall-clock knob only: bytes never change
         .build()?
         .run()?;
     println!(
@@ -47,22 +40,13 @@ fn main() -> Result<(), LogNicError> {
     );
 
     // --- The registry rack: 32 NICs cycling the workload corpus on
-    // a ToR ring, byte-compared across shard counts. ---
-    let run = |shards: usize| -> Result<FleetReport, LogNicError> {
-        rack::smoke_fleet(32, shards).build()?.run()
-    };
-    let one = run(1)?;
-    let eight = run(8)?;
-    assert_eq!(
-        format!("{one:?}"),
-        format!("{eight:?}"),
-        "sharding must be invisible in the aggregate report"
-    );
+    // a ToR ring. ---
+    let rack = rack::smoke_fleet(32).build()?.run()?;
     println!(
-        "rack-32: {} rounds, {} completed, {} forwarded, identical at 1 and 8 shards",
-        one.rounds, one.completed, one.forwarded
+        "rack-32: {} rounds, {} completed, {} forwarded",
+        rack.rounds, rack.completed, rack.forwarded
     );
-    for link in one.links.iter().take(3) {
+    for link in rack.links.iter().take(3) {
         println!(
             "  link {} -> {}: {} packets, utilization {:.4}%",
             link.src,

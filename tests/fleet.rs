@@ -1,10 +1,9 @@
 //! Determinism and composition properties of the fleet runtime.
 //!
-//! The fleet event loop's headline guarantee is that sharding is
-//! *invisible*: for a given topology, configuration and seed, the
-//! aggregate [`FleetReport`] is byte-identical at any shard count,
-//! and on the calendar queue and the binary-heap scheduler oracle
-//! alike (`FleetSim::run_reference_heap`). These tests pin that guarantee the same way the
+//! For a given topology, configuration and seed, the aggregate
+//! [`FleetReport`] is byte-identical on the calendar queue and on the
+//! binary-heap scheduler oracle (`FleetSim::run_reference_heap`).
+//! These tests pin that guarantee the same way the
 //! engine-differential suite pins single-NIC determinism: by
 //! comparing the `Debug` rendering of whole reports, so any drifting
 //! float or counter anywhere in the report fails loudly.
@@ -16,10 +15,8 @@
 
 use lognic::prelude::*;
 
-fn run_rack(nics: usize, shards: usize, reference_heap: bool) -> FleetReport {
-    let fleet = rack::smoke_fleet(nics, shards)
-        .build()
-        .expect("rack builds");
+fn run_rack(nics: usize, reference_heap: bool) -> FleetReport {
+    let fleet = rack::smoke_fleet(nics).build().expect("rack builds");
     if reference_heap {
         fleet.run_reference_heap()
     } else {
@@ -29,36 +26,19 @@ fn run_rack(nics: usize, shards: usize, reference_heap: bool) -> FleetReport {
 }
 
 #[test]
-fn fleet_reports_are_bit_identical_across_shard_counts_and_engines() {
-    // A 6-NIC rack keeps the 3 x 2 matrix affordable while still
-    // crossing shard boundaries (6 NICs over 8 shards clamps, over 2
-    // shards interleaves producers and consumers; 1 shard runs on the
-    // calling thread).
-    let reference = format!("{:?}", run_rack(6, 1, false));
-    for shards in [1usize, 2, 8] {
-        for reference_heap in [false, true] {
-            if shards == 1 && !reference_heap {
-                continue; // the reference itself
-            }
-            let got = format!("{:?}", run_rack(6, shards, reference_heap));
-            assert_eq!(
-                got, reference,
-                "FleetReport diverged at shards={shards} reference_heap={reference_heap}"
-            );
-        }
-    }
+fn rack6_reports_are_bit_identical_across_engines() {
+    let report = run_rack(6, false);
+    assert!(report.forwarded > 0, "ring links must carry traffic");
+    assert_eq!(format!("{report:?}"), format!("{:?}", run_rack(6, true)));
 }
 
 #[test]
-fn rack32_is_bit_identical_at_1_and_8_shards() {
-    // The acceptance-criterion rack: >= 32 NICs, byte-compared at the
-    // shard-count extremes under the production engine.
-    let one = run_rack(32, 1, false);
-    assert!(one.completed > 0, "rack must complete packets");
-    assert!(one.forwarded > 0, "ring links must carry traffic");
-    assert_eq!(one.nics.len(), 32);
-    let eight = run_rack(32, 8, false);
-    assert_eq!(format!("{one:?}"), format!("{eight:?}"));
+fn rack32_reports_are_bit_identical_across_engines() {
+    let report = run_rack(32, false);
+    assert!(report.completed > 0, "rack must complete packets");
+    assert!(report.forwarded > 0, "ring links must carry traffic");
+    assert_eq!(report.nics.len(), 32);
+    assert_eq!(format!("{report:?}"), format!("{:?}", run_rack(32, true)));
 }
 
 #[test]
@@ -92,7 +72,6 @@ fn traffic_free_links_compose_independent_single_nic_runs() {
 
     let fleet = FleetBuilder::new(topo)
         .config(config)
-        .shards(2)
         .build()
         .expect("idle pair builds")
         .run()
@@ -137,7 +116,6 @@ fn single_nic_fleet_is_the_simulation_builder_special_case() {
 
     let fleet = FleetBuilder::new(Topology::single("solo", g.clone(), hw, t.clone()))
         .config(config)
-        .shards(8)
         .build()
         .expect("single builds")
         .run()
@@ -177,4 +155,33 @@ fn zero_latency_traffic_link_is_rejected_at_build() {
         }
         other => panic!("expected an analysis rejection, got {other}"),
     }
+}
+
+#[test]
+fn watchdog_abort_is_the_same_error_on_both_engines() {
+    // Pins the fleet error contract: a NIC that overruns its event
+    // budget aborts the whole run, and the error returned is that of
+    // the lowest-indexed NIC failing in the first failing round — a
+    // pure function of the topology, configuration and seed.
+    let run = |reference_heap: bool| {
+        let fleet = FleetBuilder::new(rack::topology(6))
+            .config(SimConfig {
+                max_events: 2_000,
+                ..rack::smoke_config()
+            })
+            .build()
+            .expect("rack builds");
+        if reference_heap {
+            fleet.run_reference_heap()
+        } else {
+            fleet.run()
+        }
+        .expect_err("a 2000-event budget cannot finish a 2 ms rack run")
+    };
+    let err = run(false);
+    assert!(
+        matches!(err, LogNicError::WatchdogAbort { .. }),
+        "expected a watchdog abort, got {err:?}"
+    );
+    assert_eq!(format!("{err:?}"), format!("{:?}", run(true)));
 }
