@@ -334,6 +334,7 @@ fn cascaded_rate(traffic: &TrafficProfile, path: &Path, queues: &QueueTable) -> 
 mod tests {
     use super::*;
     use crate::params::IpParams;
+    use crate::queueing::tests::reference_mmcn_probs;
     use crate::units::Bytes;
 
     fn chain(name: &str, gbps: f64) -> ExecutionGraph {
@@ -483,6 +484,50 @@ mod tests {
             tiny,
             big
         );
+    }
+
+    #[test]
+    fn cascaded_rate_matches_reference_queues_at_a_thinned_load() {
+        // "a" drops ~30% of its 0.9 load, so "b" sees a thinned ρ that
+        // no table queue was built at, and its queue is rebuilt there.
+        let g = ExecutionGraph::chain(
+            "thinned",
+            &[
+                (
+                    "a",
+                    IpParams::new(Bandwidth::gbps(10.0)).with_queue_capacity(2),
+                ),
+                (
+                    "b",
+                    IpParams::new(Bandwidth::gbps(10.0))
+                        .with_parallelism(4)
+                        .with_queue_capacity(256),
+                ),
+            ],
+        )
+        .unwrap();
+        let t = TrafficProfile::fixed(Bandwidth::gbps(9.0), Bytes::new(1500));
+        let paths = g.paths().unwrap();
+        let queues = QueueTable::new(&g, &t);
+        let mut want = t.ingress_bandwidth().as_bps();
+        let mut rebuilt = 0;
+        for node in &paths[0].nodes {
+            let Some(nq) = queues.get(*node) else {
+                continue;
+            };
+            let p = &nq.params;
+            let rho = want * (nq.delta_in * p.work_factor()) / p.effective_peak().as_bps();
+            let table = nq.queue.as_ref().expect("finite load");
+            if table.utilization().to_bits() != rho.to_bits() {
+                rebuilt += 1;
+                assert!(rho < 0.9 * table.utilization(), "thinned ρ = {rho}");
+            }
+            let probs = reference_mmcn_probs(rho, p.parallelism(), p.effective_queue_capacity());
+            want *= 1.0 - probs.last().expect("non-empty");
+        }
+        assert_eq!(rebuilt, 1, "only the downstream queue is rebuilt");
+        let got = cascaded_rate(&t, &paths[0], &queues);
+        assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
     }
 
     #[test]

@@ -208,12 +208,24 @@ pub struct MmcN {
     rho: f64,
     engines: u32,
     capacity: u32,
-    /// Stationary occupancy distribution, `probs[k]` = P(k in system).
-    probs: Vec<f64>,
+    /// Unnormalized log weights `ln w_k` of the stationary occupancy
+    /// distribution: `P(k) = exp(ln w_k − max) / total`.
+    log_w: Vec<f64>,
+    /// The largest log weight, subtracted before exponentiating.
+    max: f64,
+    /// `Σ_k exp(ln w_k − max)`, the normalizer.
+    total: f64,
+    /// `P(N)`, read once per path and size class by the latency model.
+    blocking: f64,
     /// Mean requests waiting, `L_q`: the only distribution moment the
     /// delay needs, summed once so [`MmcN::queueing_delay`] is O(1).
     queue_length: f64,
 }
+
+/// `2⁻⁵⁶` as a multiplier: a term `x` with `x · 2⁵⁶ ≤ s` is below half
+/// an ulp of `s` (which exceeds `s · 2⁻⁵⁴`) with a 4× margin, so `s + x`
+/// rounds back to `s` even if `exp` is off by an ulp from monotone.
+const NEGLIGIBLE_SCALE: f64 = (1u64 << 56) as f64;
 
 impl MmcN {
     /// Creates a queue at system utilization `rho = λ/(c·μ)` with `c =
@@ -248,21 +260,19 @@ impl MmcN {
             });
         }
         let capacity = capacity.max(engines);
-        // Offered load in erlangs: a = λ/μ = ρ·c.
+        // Offered load in erlangs: a = λ/μ = ρ·c. At zero load ln a is
+        // −∞, every weight past state 0 is exp(−∞) = 0, and the sums
+        // below give the empty system.
         let a = rho * engines as f64;
         let n = capacity as usize;
-        let mut probs = vec![0.0f64; n + 1];
-        if a == 0.0 {
-            probs[0] = 1.0;
-            return Ok(MmcN::from_probs(rho, engines, capacity, probs));
-        }
+        let c = engines as usize;
         // Log-space weights, built in place:
         // ln w_{k+1} = ln w_k + ln a − ln min(k+1, c). Past the first
         // `c` states every step divides by `c`, so `ln c` is taken once.
+        let mut log_w = vec![0.0f64; n + 1];
         let ln_a = a.ln();
         let ln_c = (engines as f64).ln();
-        let c = engines as usize;
-        let mut log_w = 0.0f64;
+        let mut lw = 0.0f64;
         let mut max = 0.0f64;
         for k in 0..n {
             let ln_srv = if k + 1 < c {
@@ -270,35 +280,50 @@ impl MmcN {
             } else {
                 ln_c
             };
-            log_w = log_w + ln_a - ln_srv;
-            probs[k + 1] = log_w;
-            max = max.max(log_w);
+            lw = lw + ln_a - ln_srv;
+            log_w[k + 1] = lw;
+            max = max.max(lw);
         }
-        for p in &mut probs {
-            *p = (*p - max).exp();
+        // From `tail_from` on the log weights never increase, so there
+        // each term bounds every later one. Below saturation that is
+        // the geometric tail past the mode; at ρ ≥ 1 it is state N alone.
+        let mut tail_from = n;
+        while tail_from > 0 && log_w[tail_from - 1] >= log_w[tail_from] {
+            tail_from -= 1;
         }
-        let total: f64 = probs.iter().sum();
-        for p in &mut probs {
-            *p /= total;
+        // Sum in index order and stop where the rest of the tail can no
+        // longer change a bit of the sum (see `NEGLIGIBLE_SCALE`).
+        let mut total = 0.0f64;
+        for (k, &l) in log_w.iter().enumerate() {
+            let e = (l - max).exp();
+            if k >= tail_from && e * NEGLIGIBLE_SCALE <= total {
+                break;
+            }
+            total += e;
         }
-        Ok(MmcN::from_probs(rho, engines, capacity, probs))
-    }
-
-    fn from_probs(rho: f64, engines: u32, capacity: u32, probs: Vec<f64>) -> Self {
-        let c = engines as usize;
-        let queue_length = probs
-            .iter()
-            .enumerate()
-            .skip(c + 1)
-            .map(|(k, p)| (k - c) as f64 * p)
-            .sum();
-        MmcN {
+        // L_q = Σ_{k>c} (k−c)·P(k), stopped the same way: every later
+        // term is at most (N−c)·P(k). The first term is always added, so
+        // the sum is +0.0 and not the empty sum's −0.0 once there is one.
+        let span = (n - c) as f64;
+        let mut queue_length = -0.0f64;
+        for (k, &l) in log_w.iter().enumerate().skip(c + 1) {
+            let p = (l - max).exp() / total;
+            if k > c + 1 && k >= tail_from && span * p * NEGLIGIBLE_SCALE <= queue_length {
+                break;
+            }
+            queue_length += (k - c) as f64 * p;
+        }
+        let blocking = (log_w[n] - max).exp() / total;
+        Ok(MmcN {
             rho,
             engines,
             capacity,
-            probs,
+            log_w,
+            max,
+            total,
+            blocking,
             queue_length,
-        }
+        })
     }
 
     /// The system utilization `ρ`.
@@ -318,20 +343,26 @@ impl MmcN {
 
     /// Steady-state probability of exactly `k` requests in the system.
     pub fn occupancy_probability(&self, k: u32) -> f64 {
-        self.probs.get(k as usize).copied().unwrap_or(0.0)
+        self.log_w
+            .get(k as usize)
+            .map_or(0.0, |&l| self.probability(l))
+    }
+
+    fn probability(&self, log_w: f64) -> f64 {
+        (log_w - self.max).exp() / self.total
     }
 
     /// Probability an arriving request finds the system full.
     pub fn blocking_probability(&self) -> f64 {
-        self.probs[self.capacity as usize]
+        self.blocking
     }
 
     /// Mean requests in the system.
     pub fn mean_occupancy(&self) -> f64 {
-        self.probs
+        self.log_w
             .iter()
             .enumerate()
-            .map(|(k, p)| k as f64 * p)
+            .map(|(k, &l)| k as f64 * self.probability(l))
             .sum()
     }
 
@@ -356,8 +387,9 @@ impl MmcN {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use lognic_testkit::{ensure, CaseResult, Property};
 
     fn q(rho: f64, n: u32) -> Mm1n {
         Mm1n::new(rho, n).unwrap()
@@ -568,7 +600,7 @@ mod tests {
 
     /// The original M/M/c/N constructor, kept verbatim as the
     /// bit-identity reference: two buffers, one `ln` per state.
-    fn reference_mmcn_probs(rho: f64, engines: u32, capacity: u32) -> Vec<f64> {
+    pub(crate) fn reference_mmcn_probs(rho: f64, engines: u32, capacity: u32) -> Vec<f64> {
         let capacity = capacity.max(engines);
         let a = rho * engines as f64;
         let n = capacity as usize;
@@ -594,9 +626,71 @@ mod tests {
         probs
     }
 
+    /// Compares every output of `MmcN::new(rho, c, n)` bit for bit
+    /// with the reference distribution.
+    fn check_against_reference(rho: f64, c: u32, n: u32) -> CaseResult {
+        let case = format!("rho={rho:e} c={c} n={n}");
+        let m = MmcN::new(rho, c, n).map_err(|e| format!("{case}: {e}"))?;
+        let probs = reference_mmcn_probs(rho, c, n);
+        ensure!(m.capacity() as usize + 1 == probs.len(), "{case}: capacity");
+        for (k, want) in probs.iter().enumerate() {
+            let got = m.occupancy_probability(k as u32);
+            ensure!(
+                got.to_bits() == want.to_bits(),
+                "{case} k={k}: P(k) {got:e} vs {want:e}"
+            );
+        }
+        ensure!(
+            m.occupancy_probability(probs.len() as u32) == 0.0,
+            "{case}: P(N+1)"
+        );
+        let last = *probs.last().expect("non-empty");
+        ensure!(
+            m.blocking_probability().to_bits() == last.to_bits(),
+            "{case}: blocking {:e} vs {last:e}",
+            m.blocking_probability()
+        );
+        let l: f64 = probs.iter().enumerate().map(|(k, p)| k as f64 * p).sum();
+        ensure!(
+            m.mean_occupancy().to_bits() == l.to_bits(),
+            "{case}: L {:e} vs {l:e}",
+            m.mean_occupancy()
+        );
+        let cu = c as usize;
+        let lq: f64 = probs
+            .iter()
+            .enumerate()
+            .skip(cu + 1)
+            .map(|(k, p)| (k - cu) as f64 * p)
+            .sum();
+        ensure!(
+            m.mean_queue_length().to_bits() == lq.to_bits(),
+            "{case}: L_q {:e} vs {lq:e}",
+            m.mean_queue_length()
+        );
+        for s in [Seconds::micros(0.5), Seconds::micros(10.0)] {
+            let want = if rho == 0.0 {
+                Seconds::ZERO
+            } else {
+                let lambda = rho * c as f64 / s.as_secs().max(f64::MIN_POSITIVE);
+                let lambda_e = lambda * (1.0 - last);
+                if lambda_e <= 0.0 {
+                    Seconds::ZERO
+                } else {
+                    Seconds::new(lq / lambda_e)
+                }
+            };
+            let got = m.queueing_delay(s);
+            ensure!(
+                got.as_secs().to_bits() == want.as_secs().to_bits(),
+                "{case} service={s}: delay {got} vs {want}"
+            );
+        }
+        Ok(())
+    }
+
     #[test]
     fn mmcn_is_bit_identical_to_reference_constructor() {
-        let services = [Seconds::micros(0.5), Seconds::micros(10.0)];
         for &rho in &[0.0, 1e-9, 0.3, 0.999999, 1.0, 1.000001, 2.0, 50.0] {
             for &c in &[1u32, 2, 8, 64] {
                 for n in [1, c - 1, c, 64, 512, 4096] {
@@ -604,46 +698,34 @@ mod tests {
                         assert!(MmcN::new(rho, c, n).is_err());
                         continue;
                     }
-                    let case = format!("rho={rho} c={c} n={n}");
-                    let m = MmcN::new(rho, c, n).unwrap();
-                    let probs = reference_mmcn_probs(rho, c, n);
-                    assert_eq!(m.capacity() as usize + 1, probs.len(), "{case}");
-                    for (k, want) in probs.iter().enumerate() {
-                        let got = m.occupancy_probability(k as u32);
-                        assert_eq!(got.to_bits(), want.to_bits(), "{case} k={k}");
-                    }
-                    let last = *probs.last().expect("non-empty");
-                    assert_eq!(m.blocking_probability().to_bits(), last.to_bits(), "{case}");
-                    let cu = c as usize;
-                    let lq: f64 = probs
-                        .iter()
-                        .enumerate()
-                        .skip(cu + 1)
-                        .map(|(k, p)| (k - cu) as f64 * p)
-                        .sum();
-                    assert_eq!(m.mean_queue_length().to_bits(), lq.to_bits(), "{case}");
-                    for s in services {
-                        let want = if rho == 0.0 {
-                            Seconds::ZERO
-                        } else {
-                            let lambda = rho * c as f64 / s.as_secs().max(f64::MIN_POSITIVE);
-                            let lambda_e = lambda * (1.0 - last);
-                            if lambda_e <= 0.0 {
-                                Seconds::ZERO
-                            } else {
-                                Seconds::new(lq / lambda_e)
-                            }
-                        };
-                        let got = m.queueing_delay(s);
-                        assert_eq!(
-                            got.as_secs().to_bits(),
-                            want.as_secs().to_bits(),
-                            "{case} service={s}"
-                        );
-                    }
+                    check_against_reference(rho, c, n).unwrap();
                 }
             }
         }
+    }
+
+    #[test]
+    fn mmcn_is_bit_identical_to_reference_on_a_random_grid() {
+        // Loads dense where the truncated sums stop late or not at all
+        // (ρ → 1 from either side), engine counts up to 64 and
+        // capacities up to 4096, half of them at or below `c`.
+        const DENSE: [f64; 5] = [0.5, 0.9, 0.99, 1.0 - 1e-12, 1.0 + 1e-12];
+        Property::new("mmcn_random_grid_bit_identity")
+            .cases(256)
+            .check(|g| {
+                let rho = if g.bool(0.5) {
+                    *g.pick(&DENSE)
+                } else {
+                    g.f64(0.0..2.0).max(f64::MIN_POSITIVE)
+                };
+                let c = g.u32(1..65);
+                let n = if g.bool(0.5) {
+                    g.u32(1..c + 1)
+                } else {
+                    g.u32(1..4097)
+                };
+                check_against_reference(rho, c, n)
+            });
     }
 
     #[test]

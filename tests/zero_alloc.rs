@@ -15,10 +15,14 @@
 //! the steady-state per-event cost. The bound is a small epsilon
 //! rather than literal zero so a rare amortized growth (a wheel bucket
 //! first touched late in the long run) cannot flake the suite.
+//!
+//! The same counter pins the closed-form model's M/M/c/N queue to one
+//! allocation at any capacity.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use lognic::model::queueing::MmcN;
 use lognic::prelude::*;
 
 struct CountingAlloc;
@@ -184,4 +188,22 @@ fn arena_reuses_freed_packet_slots() {
         diff < a1 / 10 + 16,
         "repeat runs should allocate alike: {a1} vs {a2}"
     );
+}
+
+#[test]
+fn mmcn_allocates_one_buffer_at_any_capacity() {
+    // The closed-form model builds an M/M/c/N queue per node per
+    // evaluation; its construction keeps one log-weight buffer and no
+    // per-state scratch, so the count does not grow with N.
+    let count = |capacity: u32| {
+        let a0 = allocs_now();
+        let q = MmcN::new(0.7, 4, capacity).expect("valid queue");
+        let made = allocs_now() - a0;
+        drop(std::hint::black_box(q));
+        made
+    };
+    let small = count(64);
+    let large = count(4096);
+    assert_eq!(small, large, "allocations grew with capacity");
+    assert!(large <= 1, "{large} allocations per queue");
 }
